@@ -9,8 +9,11 @@
  * The custom main() additionally runs an allocation guard before the
  * benchmarks: a steady-state simulation pass over a hand-built
  * producer/consumer circuit (including a WiToken channel with inline
- * live values) must perform ZERO heap allocations. Global operator
- * new/delete are replaced with counting wrappers for this binary.
+ * live values) must perform ZERO heap allocations, constructing a cache
+ * must cost the same few allocations at any line count, and a warmed
+ * cache's reset, stores and flush must allocate nothing. Global
+ * operator new/delete are replaced with counting wrappers for this
+ * binary.
  * `micro_components --alloc-guard-only` runs just the guard (CI).
  */
 #include <benchmark/benchmark.h>
@@ -695,6 +698,134 @@ runAllocGuard(soff::sim::SchedulerMode mode, bool batch = true)
     return 0;
 }
 
+/** Streams stores into a cache, then flushes it like the work-item
+ *  counter does at kernel completion. */
+class StoreFlushClient : public soff::sim::Component
+{
+  public:
+    StoreFlushClient(soff::sim::Channel<soff::sim::MemReq> *req,
+                     soff::sim::Channel<soff::sim::MemResp> *resp,
+                     soff::memsys::Cache *cache, uint64_t stores)
+        : Component("storeclient"), req_(req), resp_(resp), cache_(cache),
+          stores_(stores)
+    {
+        watch(req_, soff::sim::PortDir::Push);
+        watch(resp_, soff::sim::PortDir::Pop);
+    }
+    void
+    step(soff::sim::Cycle) override
+    {
+        if (sent_ < stores_ && req_->canPush()) {
+            soff::sim::MemReq r;
+            r.op = soff::sim::MemReq::Op::Store;
+            r.addr = 64 + sent_ * 200; // wraps the cache: some evictions
+            r.size = 4;
+            r.data = sent_;
+            req_->push(r);
+            ++sent_;
+        }
+        if (resp_->canPop()) {
+            resp_->pop();
+            ++acked_;
+        }
+        if (acked_ == stores_ && !flushSent_) {
+            flushSent_ = true;
+            cache_->requestFlush(this);
+            wakeOther(cache_);
+        }
+        done_ = flushSent_ && cache_->flushDone();
+    }
+    soff::sim::ComponentKind kind() const override
+    {
+        return soff::sim::ComponentKind::Source;
+    }
+    bool holdsWork() const override { return acked_ < stores_; }
+    void
+    reset() override
+    {
+        sent_ = 0;
+        acked_ = 0;
+        flushSent_ = false;
+        done_ = false;
+    }
+    const bool *doneFlag() const { return &done_; }
+
+  private:
+    soff::sim::Channel<soff::sim::MemReq> *req_;
+    soff::sim::Channel<soff::sim::MemResp> *resp_;
+    soff::memsys::Cache *cache_;
+    uint64_t stores_;
+    uint64_t sent_ = 0;
+    uint64_t acked_ = 0;
+    bool flushSent_ = false;
+    bool done_ = false;
+};
+
+/**
+ * The cache's storage is flat: constructing one costs a fixed number of
+ * allocations whatever its line count, and on a warmed cache the
+ * relaunch reset, a store stream with evictions, and the kernel-end
+ * flush allocate nothing.
+ */
+int
+runCacheAllocGuard()
+{
+    using namespace soff;
+    memsys::GlobalMemory memory(1 << 20);
+    memsys::DramTiming dram(40, 4);
+    auto construct_allocs = [&](int size_bytes) {
+        uint64_t before = g_heapAllocs.load(std::memory_order_relaxed);
+        memsys::Cache cache("guard", memory, dram, size_bytes, 64,
+                            nullptr, nullptr);
+        return g_heapAllocs.load(std::memory_order_relaxed) - before;
+    };
+    uint64_t small = construct_allocs(4 << 10);
+    uint64_t large = construct_allocs(64 << 10);
+    if (large != small) {
+        std::fprintf(stderr,
+                     "cache alloc guard FAILED: a 64 KiB cache makes %llu "
+                     "heap allocations, a 4 KiB one %llu; the count must "
+                     "not grow with the line count\n",
+                     static_cast<unsigned long long>(large),
+                     static_cast<unsigned long long>(small));
+        return 1;
+    }
+
+    sim::Simulator simulator;
+    auto *req = simulator.channel<sim::MemReq>(8);
+    auto *resp = simulator.channel<sim::MemResp>(8);
+    auto *cache = simulator.add<memsys::Cache>("cache", memory, dram,
+                                               64 << 10, 64, req, resp);
+    auto *client = simulator.add<StoreFlushClient>(req, resp, cache, 400);
+    auto warm = simulator.run(client->doneFlag(), 1000000, 10000);
+    uint64_t warm_writebacks = cache->stats().writebacks;
+    simulator.resetForRerun();
+    dram.reset(); // the relaunch path resets the DRAM timeline too
+    uint64_t before = g_heapAllocs.load(std::memory_order_relaxed);
+    auto steady = simulator.run(client->doneFlag(), 1000000, 10000);
+    uint64_t allocs = g_heapAllocs.load(std::memory_order_relaxed) - before;
+    if (!warm.completed || !steady.completed ||
+        steady.cycles != warm.cycles ||
+        cache->stats().writebacks != warm_writebacks) {
+        std::fprintf(stderr, "cache alloc guard: the rerun after reset() "
+                             "diverged from the warmup run\n");
+        return 1;
+    }
+    if (allocs != 0) {
+        std::fprintf(stderr,
+                     "cache alloc guard FAILED: %llu heap allocation(s) "
+                     "across reset(), stores and a full flush\n",
+                     static_cast<unsigned long long>(allocs));
+        return 1;
+    }
+    std::printf("cache alloc guard: %llu heap allocations to construct "
+                "a 64 KiB cache (same as 4 KiB); 0 across reset, 400 "
+                "stores and a flush (%llu write-backs)\n",
+                static_cast<unsigned long long>(large),
+                static_cast<unsigned long long>(warm_writebacks));
+    return 0;
+}
+
 } // namespace
 
 int
@@ -702,13 +833,16 @@ main(int argc, char **argv)
 {
     // The generic event-driven loop and the compiled specialized loop
     // — batched and per-entry — must all run allocation-free in
-    // steady state (plans allocate only at build time).
+    // steady state (plans allocate only at build time), and so must a
+    // warmed cache's reset-and-flush cycle.
     int rc = runAllocGuard(soff::sim::SchedulerMode::EventDriven);
     if (rc == 0)
         rc = runAllocGuard(soff::sim::SchedulerMode::Compiled);
     if (rc == 0)
         rc = runAllocGuard(soff::sim::SchedulerMode::Compiled,
                            /*batch=*/false);
+    if (rc == 0)
+        rc = runCacheAllocGuard();
     if (rc != 0)
         return rc;
     if (argc > 1 && std::strcmp(argv[1], "--alloc-guard-only") == 0)

@@ -158,17 +158,25 @@ class GroupExecutor
             __builtin_memcpy(&b, &d, sizeof(b));
             return b;
         };
+        // The local variable's bytes at addr. A wild pointer can land
+        // in the local encoding space (a negative global offset wraps
+        // there), so an unknown variable or an overrun is a memory
+        // fault, exactly like a global access out of bounds.
+        auto localBytes = [&]() -> uint8_t * {
+            auto var = static_cast<size_t>(ir::localPtrVar(addr));
+            uint64_t off = ir::localPtrOffset(addr);
+            if (var >= localMem_.size() || off > localMem_[var].size() ||
+                size > localMem_[var].size() - off)
+                throw memsys::MemoryFault(addr, size);
+            return localMem_[var].data() + off;
+        };
         auto rawRead = [&]() -> uint64_t {
             if (!is_local)
                 return memory_.readScalar(addr, size);
-            int var = ir::localPtrVar(addr);
-            uint64_t off = ir::localPtrOffset(addr);
-            auto &mem = localMem_.at(static_cast<size_t>(var));
-            SOFF_ASSERT(off + size <= mem.size(),
-                        "local access out of bounds");
+            const uint8_t *mem = localBytes();
             uint64_t v = 0;
             for (uint32_t i = 0; i < size; ++i)
-                v |= static_cast<uint64_t>(mem[off + i]) << (8 * i);
+                v |= static_cast<uint64_t>(mem[i]) << (8 * i);
             return v;
         };
         auto rawWrite = [&](uint64_t v) {
@@ -176,13 +184,9 @@ class GroupExecutor
                 memory_.writeScalar(addr, size, v);
                 return;
             }
-            int var = ir::localPtrVar(addr);
-            uint64_t off = ir::localPtrOffset(addr);
-            auto &mem = localMem_.at(static_cast<size_t>(var));
-            SOFF_ASSERT(off + size <= mem.size(),
-                        "local access out of bounds");
+            uint8_t *mem = localBytes();
             for (uint32_t i = 0; i < size; ++i)
-                mem[off + i] = static_cast<uint8_t>(v >> (8 * i));
+                mem[i] = static_cast<uint8_t>(v >> (8 * i));
         };
 
         uint64_t result_bits = 0;

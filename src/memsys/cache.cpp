@@ -12,28 +12,48 @@ Cache::Cache(const std::string &name, GlobalMemory &memory,
              sim::Channel<sim::MemResp> *out)
     : Component(name), memory_(memory), dram_(dram),
       sizeBytes_(size_bytes), lineBytes_(line_bytes),
-      numLines_(size_bytes / line_bytes), in_(in), out_(out)
+      numLines_(size_bytes / line_bytes), in_(in), out_(out),
+      maskWords_(static_cast<size_t>(line_bytes + 63) / 64),
+      data_(static_cast<size_t>(numLines_) *
+            static_cast<size_t>(lineBytes_)),
+      tags_(static_cast<size_t>(numLines_)),
+      valid_(static_cast<size_t>(numLines_)),
+      dirty_(static_cast<size_t>(numLines_) * maskWords_)
 {
     watch(in_);
     watch(out_);
-    lines_.resize(static_cast<size_t>(numLines_));
-    for (Line &line : lines_) {
-        line.data.resize(static_cast<size_t>(lineBytes_), 0);
-        line.dirty.resize(static_cast<size_t>(lineBytes_), false);
-    }
+}
+
+bool
+Cache::lineDirty(uint64_t index) const
+{
+    const uint64_t *mask = dirty_.data() + index * maskWords_;
+    uint64_t any = 0;
+    for (size_t w = 0; w < maskWords_; ++w)
+        any |= mask[w];
+    return any != 0;
 }
 
 void
-Cache::writebackLine(Line &line, uint64_t index)
+Cache::writebackLine(uint64_t index)
 {
-    uint64_t base = lineBase(line, index);
-    for (int i = 0; i < lineBytes_; ++i) {
-        if (line.dirty[static_cast<size_t>(i)]) {
-            memory_.writeBlock(base + static_cast<uint64_t>(i), 1,
-                               &line.data[static_cast<size_t>(i)]);
-            line.dirty[static_cast<size_t>(i)] = false;
+    uint64_t base = lineBase(index);
+    const uint8_t *data = lineData(index);
+    uint64_t *mask = lineMask(index);
+    auto dirty = [mask](int b) { return (mask[b / 64] >> (b % 64)) & 1; };
+    // One block write per maximal run of dirty bytes.
+    for (int b = 0; b < lineBytes_;) {
+        if (!dirty(b)) {
+            ++b;
+            continue;
         }
+        int start = b;
+        while (b < lineBytes_ && dirty(b))
+            ++b;
+        memory_.writeBlock(base + static_cast<uint64_t>(start),
+                           static_cast<uint32_t>(b - start), data + start);
     }
+    std::fill(mask, mask + maskWords_, 0);
     ++stats_.writebacks;
 }
 
@@ -41,30 +61,25 @@ sim::Cycle
 Cache::ensureLine(uint64_t addr, sim::Cycle now)
 {
     uint64_t index = lineIndex(addr);
-    Line &line = lines_[index];
-    if (line.valid && line.tag == lineTag(addr)) {
+    if (resident(index, addr)) {
         ++stats_.hits;
         return now + static_cast<sim::Cycle>(hitLatency_);
     }
     ++stats_.misses;
     sim::Cycle ready = now;
-    if (line.valid) {
+    if (valid_[index] != 0) {
         ++stats_.evictions;
-        bool dirty = false;
-        for (bool d : line.dirty)
-            dirty |= d;
-        if (dirty) {
-            writebackLine(line, index);
+        if (lineDirty(index)) {
+            writebackLine(index);
             ready = dram_.schedule(now); // writeback occupies the bus
         }
     }
     // Fill.
-    line.valid = true;
-    line.tag = lineTag(addr);
-    uint64_t base = lineBase(line, index);
-    memory_.readBlock(base, static_cast<uint32_t>(lineBytes_),
-                      line.data.data());
-    std::fill(line.dirty.begin(), line.dirty.end(), false);
+    valid_[index] = 1;
+    tags_[index] = lineTag(addr);
+    memory_.readBlock(lineBase(index), static_cast<uint32_t>(lineBytes_),
+                      lineData(index));
+    std::fill(lineMask(index), lineMask(index) + maskWords_, 0);
     ready = std::max(ready, dram_.schedule(now));
     return ready + static_cast<sim::Cycle>(hitLatency_);
 }
@@ -73,22 +88,24 @@ uint64_t
 Cache::performAccess(const sim::MemReq &req)
 {
     uint64_t index = lineIndex(req.addr);
-    Line &line = lines_[index];
-    SOFF_ASSERT(line.valid && line.tag == lineTag(req.addr),
+    SOFF_ASSERT(resident(index, req.addr),
                 "performAccess on non-resident line");
     uint64_t offset = req.addr % static_cast<uint64_t>(lineBytes_);
     SOFF_ASSERT(offset + req.size <= static_cast<uint64_t>(lineBytes_),
                 "access straddles a cache line");
+    uint8_t *data = lineData(index) + offset;
+    uint64_t *mask = lineMask(index);
     auto read = [&]() {
         uint64_t v = 0;
         for (uint32_t i = 0; i < req.size; ++i)
-            v |= static_cast<uint64_t>(line.data[offset + i]) << (8 * i);
+            v |= static_cast<uint64_t>(data[i]) << (8 * i);
         return v;
     };
     auto write = [&](uint64_t v) {
         for (uint32_t i = 0; i < req.size; ++i) {
-            line.data[offset + i] = static_cast<uint8_t>(v >> (8 * i));
-            line.dirty[offset + i] = true;
+            data[i] = static_cast<uint8_t>(v >> (8 * i));
+            uint64_t b = offset + i;
+            mask[b / 64] |= uint64_t{1} << (b % 64);
         }
     };
     switch (req.op) {
@@ -127,18 +144,15 @@ Cache::step(sim::Cycle now)
         // stepped every cycle in all modes (wakeAt below), so marking
         // the cycle busy here is deterministic.
         perfBusy(now);
-        int budget = 1;
-        while (budget > 0 && flushCursor_ < numLines_) {
-            Line &line = lines_[static_cast<size_t>(flushCursor_)];
-            bool dirty = false;
-            for (bool d : line.dirty)
-                dirty |= d;
-            if (dirty) {
-                writebackLine(line, static_cast<uint64_t>(flushCursor_));
+        // At most one write-back per cycle, in ascending line order;
+        // clean lines are skipped within the cycle.
+        while (flushCursor_ < numLines_) {
+            uint64_t index = static_cast<uint64_t>(flushCursor_++);
+            if (lineDirty(index)) {
+                writebackLine(index);
                 dram_.schedule(now);
-                --budget;
+                break;
             }
-            ++flushCursor_;
         }
         if (flushCursor_ >= numLines_) {
             flushComplete_ = true;

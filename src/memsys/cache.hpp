@@ -12,9 +12,16 @@
  * of the same buffer (one per datapath instance, §V-A) merge disjoint
  * writes correctly at write-back/flush time — the hardware equivalent
  * of byte-enable writes.
+ *
+ * Storage is flat (DESIGN.md "Data-oriented core"): one data block of
+ * numLines × lineBytes bytes, a tag and a valid array, and per-line
+ * dirty masks of ceil(lineBytes / 64) words. Dirty and eviction checks
+ * test whole mask words, so the kernel-end flush walk costs a few word
+ * tests per line plus copies of the dirty bytes.
  */
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "ir/eval.hpp"
@@ -70,15 +77,13 @@ class Cache : public sim::Component
     const CacheStats &stats() const { return stats_; }
 
     /** Fresh-launch reset: invalidates every line (keeping the line
-     *  buffers allocated), drops queued transactions and flush state. */
+     *  storage allocated), drops queued transactions and flush state. */
     void
     reset() override
     {
-        for (Line &line : lines_) {
-            line.valid = false;
-            line.tag = 0;
-            std::fill(line.dirty.begin(), line.dirty.end(), false);
-        }
+        std::fill(valid_.begin(), valid_.end(), 0);
+        std::fill(tags_.begin(), tags_.end(), 0);
+        std::fill(dirty_.begin(), dirty_.end(), 0);
         txq_.clear();
         stats_ = CacheStats{};
         flushRequested_ = false;
@@ -88,14 +93,6 @@ class Cache : public sim::Component
     }
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        uint64_t tag = 0;
-        std::vector<uint8_t> data;
-        std::vector<bool> dirty;
-    };
-
     struct Tx
     {
         sim::MemReq req;
@@ -114,15 +111,28 @@ class Cache : public sim::Component
                static_cast<uint64_t>(numLines_);
     }
     uint64_t
-    lineBase(const Line &line, uint64_t index) const
+    lineBase(uint64_t index) const
     {
-        return (line.tag * static_cast<uint64_t>(numLines_) + index) *
+        return (tags_[index] * static_cast<uint64_t>(numLines_) + index) *
                static_cast<uint64_t>(lineBytes_);
     }
+    uint8_t *lineData(uint64_t index)
+    {
+        return data_.data() + index * static_cast<uint64_t>(lineBytes_);
+    }
+    uint64_t *lineMask(uint64_t index)
+    {
+        return dirty_.data() + index * maskWords_;
+    }
+    bool resident(uint64_t index, uint64_t addr) const
+    {
+        return valid_[index] != 0 && tags_[index] == lineTag(addr);
+    }
+    bool lineDirty(uint64_t index) const;
 
     /** Ensures the line holding addr is resident; returns ready cycle. */
     sim::Cycle ensureLine(uint64_t addr, sim::Cycle now);
-    void writebackLine(Line &line, uint64_t index);
+    void writebackLine(uint64_t index);
     uint64_t performAccess(const sim::MemReq &req);
 
     GlobalMemory &memory_;
@@ -133,7 +143,11 @@ class Cache : public sim::Component
     int hitLatency_ = 2;
     sim::Channel<sim::MemReq> *in_;
     sim::Channel<sim::MemResp> *out_;
-    std::vector<Line> lines_;
+    size_t maskWords_; ///< Dirty-mask words per line (1 bit per byte).
+    std::vector<uint8_t> data_;   ///< numLines_ × lineBytes_ bytes.
+    std::vector<uint64_t> tags_;  ///< Per line.
+    std::vector<uint8_t> valid_;  ///< Per line.
+    std::vector<uint64_t> dirty_; ///< numLines_ × maskWords_ words.
     sim::RingQueue<Tx> txq_;
     size_t txqCap_ = 16;
     CacheStats stats_;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "ir/eval.hpp"
+#include "memsys/global_memory.hpp"
 #include "sim/forensics.hpp"
 #include "sim/ring.hpp"
 #include "sim/simulator.hpp"
@@ -156,8 +157,8 @@ class LocalMemoryBlock : public sim::Component
         std::vector<uint8_t> &mem =
             storage_[req.slot % storage_.size()];
         uint64_t addr = ir::localPtrOffset(req.addr);
-        SOFF_ASSERT(addr + req.size <= varBytes_,
-                    "local memory access out of bounds: " + name());
+        if (addr + req.size > varBytes_)
+            throw MemoryFault(req.addr, req.size);
         auto read = [&]() {
             uint64_t v = 0;
             for (uint32_t i = 0; i < req.size; ++i)

@@ -595,6 +595,18 @@ templatePoolCapacity()
         detail::parseEnvInt("SOFF_TEMPLATE_POOL", v, 1, 256));
 }
 
+/** A kernel's out-of-bounds access, as the error the launch fails
+ *  with: the process survives and the context stays usable. */
+OpenClError
+memoryFaultError(const core::CompiledKernel &ck,
+                 const memsys::MemoryFault &fault)
+{
+    return OpenClError(ClStatus::OutOfResources,
+                       "kernel '" + ck.kernel->name() +
+                           "' accessed memory out of bounds: " +
+                           fault.what());
+}
+
 } // namespace
 
 std::unique_ptr<sim::KernelCircuit>
@@ -794,7 +806,11 @@ Context::runLaunchCore(const detail::CorePlan &cp, uint64_t *duration_ns,
     LaunchResult result;
     if (cp.mode == ExecutionMode::Reference) {
         baseline::Interpreter interp(device_.globalMemory());
-        interp.run(*cp.ck->kernel, cp.launch);
+        try {
+            interp.run(*cp.ck->kernel, cp.launch);
+        } catch (const memsys::MemoryFault &e) {
+            throw memoryFaultError(*cp.ck, e);
+        }
         result.instances = 1;
         return result;
     }
@@ -825,8 +841,10 @@ Context::runLaunchCore(const detail::CorePlan &cp, uint64_t *duration_ns,
     ModeRun ref_side, par_side, comp_side;
     std::unique_ptr<memsys::GlobalMemory> ref_memory, par_memory,
         comp_memory;
-    std::vector<std::thread> checkers;
     std::exception_ptr ref_error, par_error, comp_error;
+    // Declared after everything the side runs touch: if the primary run
+    // throws, unwinding joins them before that state is destroyed.
+    std::vector<std::jthread> checkers;
     if (crosscheck) {
         // The four schedulers run concurrently: the reference,
         // parallel, and compiled circuits each on a private copy of
@@ -925,6 +943,8 @@ Context::runLaunchCore(const detail::CorePlan &cp, uint64_t *duration_ns,
     } catch (const sim::SimInternalError &e) {
         throw OpenClError(ClStatus::OutOfResources, e.what(),
                           e.report());
+    } catch (const memsys::MemoryFault &e) {
+        throw memoryFaultError(ck, e);
     } catch (const OpenClError &) {
         throw;
     } catch (const RuntimeError &e) {
@@ -961,7 +981,7 @@ Context::runLaunchCore(const detail::CorePlan &cp, uint64_t *duration_ns,
         fellBack = true;
     }
     if (crosscheck) {
-        for (std::thread &t : checkers)
+        for (std::jthread &t : checkers)
             t.join();
         if (ref_error)
             std::rethrow_exception(ref_error);

@@ -620,7 +620,7 @@ Simulator::runPhase(PhaseKind kind)
     if (local_error)
         std::rethrow_exception(local_error);
     if (workerFailed_.load(std::memory_order_acquire))
-        throw RuntimeError("simulation worker failed: " + workerError_);
+        std::rethrow_exception(workerError_);
 }
 
 void
@@ -661,11 +661,10 @@ Simulator::workerMain()
             return;
         try {
             shardLoop(static_cast<PhaseKind>(kind));
-        } catch (const std::exception &e) {
-            if (!workerFailed_.exchange(true, std::memory_order_relaxed))
-                workerError_ = e.what(); // published by the arrival below
         } catch (...) {
-            workerFailed_.exchange(true, std::memory_order_relaxed);
+            // Published to the coordinator by the arrival below.
+            if (!workerFailed_.exchange(true, std::memory_order_relaxed))
+                workerError_ = std::current_exception();
         }
         phaseArrived_.fetch_add(1, std::memory_order_release);
     }

@@ -71,6 +71,7 @@
 #pragma once
 
 #include <atomic>
+#include <exception>
 #include <memory>
 #include <queue>
 #include <string>
@@ -634,7 +635,9 @@ class Simulator
     std::atomic<uint32_t> shardCursor_{0};
     std::atomic<int> phaseKind_{0};
     std::atomic<bool> workerFailed_{false};
-    std::string workerError_;
+    /** The first worker failure, rethrown with its type intact (a
+     *  memory fault must surface the same on every scheduler). */
+    std::exception_ptr workerError_;
 };
 
 } // namespace soff::sim

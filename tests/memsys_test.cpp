@@ -1,6 +1,9 @@
 /** @file Unit tests for the memory subsystem: caches (hits, misses,
- *  write-back with byte-dirty merging, flush, atomics), the round-robin
- *  arbiter's response routing, local memory banking, and lock tables. */
+ *  write-back with byte-dirty merging, flush contents and timing at
+ *  several line sizes, atomics), the round-robin arbiter's response
+ *  routing, local memory banking, and lock tables. */
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "memsys/arbiter.hpp"
@@ -17,6 +20,11 @@ using sim::Channel;
 using sim::MemReq;
 using sim::MemResp;
 
+/** Line sizes the layout-sensitive cache tests run at: 128 bytes spans
+ *  two 64-bit dirty-mask words, 32 bytes leaves one word half used. */
+constexpr int kLineSizes[] = {32, 64, 128};
+
+/** One 4 KiB cache over 64 KiB of memory. */
 struct CacheRig
 {
     sim::Simulator sim;
@@ -26,11 +34,11 @@ struct CacheRig
     Channel<MemResp> *out;
     Cache *cache;
 
-    CacheRig()
+    explicit CacheRig(int line_bytes = 64)
     {
         in = sim.channel<MemReq>(8);
         out = sim.channel<MemResp>(8);
-        cache = sim.add<Cache>("c", memory, dram, 4096, 64, in,
+        cache = sim.add<Cache>("c", memory, dram, 4096, line_bytes, in,
                                out);
     }
 
@@ -102,37 +110,89 @@ TEST(Cache, RepeatedAccessHitRateNonZero)
     EXPECT_GT(static_cast<double>(stats.hits) / lookups, 0.5);
 }
 
-TEST(Cache, WriteBackOnEviction)
+/** A dirty line reaches memory when a conflicting fill evicts it. */
+void
+checkWriteBackOnEviction(int line_bytes)
 {
-    CacheRig rig;
-    rig.roundTrip(storeReq(128, 77));
+    SCOPED_TRACE(testing::Message() << line_bytes << "-byte lines");
+    CacheRig rig(line_bytes);
+    uint64_t line = static_cast<uint64_t>(line_bytes);
+    // First and last word of line 1: with 128-byte lines they sit in
+    // different dirty-mask words.
+    rig.roundTrip(storeReq(line, 77));
+    rig.roundTrip(storeReq(2 * line - 4, 88));
     // Evict by touching the conflicting line (4096 bytes apart).
-    rig.roundTrip(loadReq(128 + 4096));
-    EXPECT_EQ(rig.memory.readScalar(128, 4), 77u)
+    rig.roundTrip(loadReq(line + 4096));
+    EXPECT_EQ(rig.memory.readScalar(line, 4), 77u)
         << "dirty data must reach memory on eviction";
+    EXPECT_EQ(rig.memory.readScalar(2 * line - 4, 4), 88u);
     EXPECT_EQ(rig.cache->stats().evictions, 1u)
         << "replacing a valid line counts as an eviction";
     EXPECT_EQ(rig.cache->stats().writebacks, 1u);
 }
 
-TEST(Cache, FlushWritesAllDirtyLines)
+TEST(Cache, WriteBackOnEviction)
 {
-    CacheRig rig;
-    rig.roundTrip(storeReq(64, 11));
-    rig.roundTrip(storeReq(192, 22));
-    rig.cache->requestFlush();
-    for (int cycle = 1000; cycle < 1300; ++cycle)
-        rig.cache->step(static_cast<sim::Cycle>(cycle));
-    EXPECT_TRUE(rig.cache->flushDone());
-    EXPECT_EQ(rig.memory.readScalar(64, 4), 11u);
-    EXPECT_EQ(rig.memory.readScalar(192, 4), 22u);
+    for (int line_bytes : kLineSizes)
+        checkWriteBackOnEviction(line_bytes);
 }
 
-TEST(Cache, ByteDirtyMaskMergesDisjointWrites)
+/**
+ * Dirties `lines` (indices into the cache), flushes, checks that each
+ * reached memory with one write-back and one DRAM transfer, and returns
+ * the steps until flushDone(). The flush contract: at most one
+ * write-back per step in ascending line order, clean lines skipped
+ * within the step.
+ */
+int
+flushSteps(int line_bytes, const std::vector<int> &lines)
 {
-    // Two caches over the same memory write different words of the
-    // same line (the per-datapath-instance scenario of §V-A); byte
-    // dirty masks must merge, not clobber.
+    CacheRig rig(line_bytes);
+    // The line's last word: in the second mask word at 128 bytes.
+    auto addrOf = [line_bytes](int index) {
+        return static_cast<uint64_t>((index + 1) * line_bytes - 4);
+    };
+    for (int index : lines)
+        rig.roundTrip(storeReq(addrOf(index), 1000 + index));
+    uint64_t transfers = rig.dram.transfers();
+    rig.cache->requestFlush();
+    int steps = 0;
+    while (!rig.cache->flushDone() && steps < 1000)
+        rig.cache->step(static_cast<sim::Cycle>(1000 + steps++));
+    EXPECT_EQ(rig.cache->stats().writebacks, lines.size());
+    EXPECT_EQ(rig.dram.transfers() - transfers, lines.size());
+    for (int index : lines) {
+        EXPECT_EQ(rig.memory.readScalar(addrOf(index), 4),
+                  static_cast<uint64_t>(1000 + index));
+    }
+    return steps;
+}
+
+TEST(Cache, FlushWritesAllDirtyLines)
+{
+    for (int line_bytes : kLineSizes) {
+        SCOPED_TRACE(testing::Message() << line_bytes << "-byte lines");
+        int last = 4096 / line_bytes - 1;
+        EXPECT_EQ(flushSteps(line_bytes, {}), 1) << "one walk, no writes";
+        EXPECT_EQ(flushSteps(line_bytes, {1, 5, 9}), 4)
+            << "one write-back per step, then the clean tail";
+        EXPECT_EQ(flushSteps(line_bytes, {1, last}), 2);
+        EXPECT_EQ(flushSteps(line_bytes, {last}), 1)
+            << "writing the last line completes the walk";
+        EXPECT_EQ(flushSteps(line_bytes, {0}), 2);
+    }
+}
+
+/**
+ * Two caches over the same memory write adjacent words of the same
+ * line (the per-datapath-instance scenario of §V-A); byte dirty masks
+ * must merge, not clobber. The words straddle the line's midpoint,
+ * which with 128-byte lines is the boundary between two mask words.
+ */
+void
+checkByteDirtyMaskMerge(int line_bytes)
+{
+    SCOPED_TRACE(testing::Message() << line_bytes << "-byte lines");
     sim::Simulator sim;
     GlobalMemory memory(1 << 16);
     DramTiming dram(40, 4);
@@ -140,9 +200,9 @@ TEST(Cache, ByteDirtyMaskMergesDisjointWrites)
     auto *out1 = sim.channel<MemResp>(8);
     auto *in2 = sim.channel<MemReq>(8);
     auto *out2 = sim.channel<MemResp>(8);
-    Cache *c1 = sim.add<Cache>("c1", memory, dram, 4096, 64, in1,
+    Cache *c1 = sim.add<Cache>("c1", memory, dram, 4096, line_bytes, in1,
                                out1);
-    Cache *c2 = sim.add<Cache>("c2", memory, dram, 4096, 64, in2,
+    Cache *c2 = sim.add<Cache>("c2", memory, dram, 4096, line_bytes, in2,
                                out2);
     auto drive = [&](Cache *cache, Channel<MemReq> *in,
                      Channel<MemResp> *out, const MemReq &req) {
@@ -158,16 +218,23 @@ TEST(Cache, ByteDirtyMaskMergesDisjointWrites)
             }
         }
     };
-    drive(c1, in1, out1, storeReq(64, 0x1111));  // word 0 of the line
-    drive(c2, in2, out2, storeReq(68, 0x2222));  // word 1, same line
+    uint64_t mid = static_cast<uint64_t>(line_bytes + line_bytes / 2);
+    drive(c1, in1, out1, storeReq(mid - 4, 0x1111)); // below the midpoint
+    drive(c2, in2, out2, storeReq(mid, 0x2222));     // above, same line
     c1->requestFlush();
     c2->requestFlush();
     for (int cycle = 1000; cycle < 1400; ++cycle) {
         c1->step(static_cast<sim::Cycle>(cycle));
         c2->step(static_cast<sim::Cycle>(cycle));
     }
-    EXPECT_EQ(memory.readScalar(64, 4), 0x1111u);
-    EXPECT_EQ(memory.readScalar(68, 4), 0x2222u);
+    EXPECT_EQ(memory.readScalar(mid - 4, 4), 0x1111u);
+    EXPECT_EQ(memory.readScalar(mid, 4), 0x2222u);
+}
+
+TEST(Cache, ByteDirtyMaskMergesDisjointWrites)
+{
+    for (int line_bytes : kLineSizes)
+        checkByteDirtyMaskMerge(line_bytes);
 }
 
 TEST(Cache, AtomicRmwReturnsOldValue)

@@ -315,6 +315,72 @@ TEST(Device, DmaRejectsOversizedTransfer)
     device.release(addr);
 }
 
+// --- Memory faults -------------------------------------------------------
+
+const char *kWildKernels = R"CL(
+__kernel void wild(__global int* Y, int off) {
+  Y[get_global_id(0) + off] = 7;
+}
+__kernel void wild_local(__global int* Y, int off) {
+  __local int tile[16];
+  int l = get_local_id(0);
+  tile[l + off] = 7;
+  barrier(CLK_LOCAL_MEM_FENCE);
+  Y[get_global_id(0)] = tile[l];
+}
+)CL";
+
+TEST(Context, OutOfBoundsAccessFailsTheLaunchNotTheProcess)
+{
+    // An index far past (or, wrapping, far before) a 256-byte buffer or
+    // a 16-int __local tile is a user error: in both engines the launch
+    // fails with CL_OUT_OF_RESOURCES naming the kernel and the address,
+    // and the same context then runs a correct launch.
+    Context ctx;
+    Program program = ctx.buildProgram(kWildKernels);
+    Buffer buffer = ctx.createBuffer(256);
+    sim::NDRange nd;
+    nd.globalSize[0] = 64;
+    nd.localSize[0] = 16;
+    for (const char *name : {"wild", "wild_local"}) {
+        KernelHandle kernel = program.createKernel(name);
+        kernel.setArg(0, buffer);
+        for (ExecutionMode mode :
+             {ExecutionMode::Simulate, ExecutionMode::Reference}) {
+            for (int32_t off : {100000000, -100000000}) {
+                SCOPED_TRACE(testing::Message()
+                             << name << ", "
+                             << (mode == ExecutionMode::Simulate
+                                     ? "simulate"
+                                     : "reference")
+                             << ", off " << off);
+                kernel.setArg(1, off);
+                try {
+                    ctx.enqueueNDRange(kernel, nd, mode);
+                    ADD_FAILURE() << "an out-of-bounds launch must throw";
+                } catch (const OpenClError &e) {
+                    EXPECT_EQ(e.status(), ClStatus::OutOfResources);
+                    std::string message = e.what();
+                    EXPECT_NE(message.find("kernel '" + std::string(name) +
+                                           "'"),
+                              std::string::npos)
+                        << message;
+                    EXPECT_NE(message.find("at address 0x"),
+                              std::string::npos)
+                        << message;
+                }
+            }
+        }
+    }
+    KernelHandle kernel = program.createKernel("wild");
+    kernel.setArg(0, buffer);
+    kernel.setArg(1, int32_t{0});
+    ctx.enqueueNDRange(kernel, nd);
+    std::vector<int32_t> out(64);
+    ctx.readBuffer(buffer, out.data(), 256);
+    EXPECT_EQ(out, std::vector<int32_t>(64, 7));
+}
+
 // --- Command queues and events -------------------------------------------
 
 /** Enqueues one tiny launch of kernel `a` and returns its event. */
