@@ -689,9 +689,7 @@ main(int argc, char **argv)
                        r.injected.dmaTransfers !=
                            first_inj.dmaTransfers ||
                        r.injected.poolCheckouts !=
-                           first_inj.poolCheckouts ||
-                       r.injected.schedulerTrips !=
-                           first_inj.schedulerTrips) {
+                           first_inj.poolCheckouts) {
                 deterministic = false;
                 std::printf("DETERMINISM VIOLATION in %s at %d "
                             "workers\n",
@@ -749,7 +747,6 @@ main(int argc, char **argv)
         w.field("launchAborts", r.injected.launchAborts);
         w.field("dmaTransfers", r.injected.dmaTransfers);
         w.field("poolCheckouts", r.injected.poolCheckouts);
-        w.field("schedulerTrips", r.injected.schedulerTrips);
         w.endObject();
         w.key("queueStats").beginObject();
         w.field("retired", r.stats.retired);

@@ -2,13 +2,14 @@
  * @file
  * Host-side throughput of the simulation kernel itself: the same
  * applications executed under the synchronous reference scheduler, the
- * quiescence-aware event-driven scheduler, and the sharded parallel
- * scheduler at several worker counts (identical simulated cycles by
- * construction — see tests/sim_sched_test.cpp), comparing wall-clock
- * time, simulated-cycles-per-second, and component steps avoided. A
- * high-DRAM-latency configuration makes the memory-bound applications
- * idle-heavy, which is where quiescence tracking pays; the default
- * configuration is where sharding across datapath instances pays.
+ * quiescence-aware event-driven scheduler, and the compiled scheduler
+ * with batched replica stepping off and on (identical simulated cycles
+ * by construction — see tests/sim_sched_test.cpp), comparing
+ * wall-clock time, simulated-cycles-per-second, and component steps
+ * avoided. A high-DRAM-latency configuration makes the memory-bound
+ * applications idle-heavy, which is where quiescence tracking pays; a
+ * fast-DRAM configuration makes them pipeline-bound, where the
+ * compiled sweep pays.
  *
  * Writes BENCH_sim.json next to the binary (consumed by CI).
  */
@@ -38,14 +39,6 @@ struct Workload
     const char *config;  ///< "default" or "membound".
     int dramLatency;
     int dramCyclesPerLine;
-    bool threadSweep; ///< Run the parallel scheduler sweep too.
-};
-
-struct ParallelPoint
-{
-    int threads = 0;
-    double wallMs = 0.0;
-    bool verified = false;
 };
 
 struct Row
@@ -63,7 +56,6 @@ struct Row
     uint64_t evtCyclesActive = 0;
     int instances = 0;
     bool verified = false;
-    std::vector<ParallelPoint> parallel;
     /** Architectural counter context (event-driven run). */
     benchsuite::RunMetrics evtMetrics;
 };
@@ -72,13 +64,11 @@ struct Row
  *  the compile happens outside the timed region). */
 double
 timedRun(const App &app, sim::SchedulerMode mode, const Workload &load,
-         int threads, benchsuite::RunMetrics &metrics, bool &verified,
-         bool batch = true)
+         benchsuite::RunMetrics &metrics, bool &verified, bool batch)
 {
     BenchContext ctx(Engine::SoffSim);
     sim::PlatformConfig platform;
     platform.scheduler = mode;
-    platform.threads = threads;
     platform.dramLatency = load.dramLatency;
     platform.dramCyclesPerLine = load.dramCyclesPerLine;
     platform.batchStep = batch;
@@ -99,15 +89,13 @@ timedRun(const App &app, sim::SchedulerMode mode, const Workload &load,
  *  repetition-invariant — the simulation is deterministic). */
 double
 bestTimedRun(const App &app, sim::SchedulerMode mode,
-             const Workload &load, int threads,
-             benchsuite::RunMetrics &metrics, bool &verified,
-             bool batch = true)
+             const Workload &load, benchsuite::RunMetrics &metrics,
+             bool &verified, bool batch = true)
 {
     constexpr int kReps = 3;
     double best = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
-        double ms = timedRun(app, mode, load, threads, metrics,
-                             verified, batch);
+        double ms = timedRun(app, mode, load, metrics, verified, batch);
         if (rep == 0 || ms < best)
             best = ms;
         if (!verified)
@@ -123,21 +111,6 @@ cyclesPerSec(uint64_t cycles, double wall_ms)
                          : 0.0;
 }
 
-/** 1/2/4/hardware_concurrency(), deduplicated and sorted. */
-std::vector<int>
-sweepThreadCounts()
-{
-    std::vector<int> counts = {
-        1, 2, 4, static_cast<int>(std::thread::hardware_concurrency())};
-    std::sort(counts.begin(), counts.end());
-    counts.erase(std::unique(counts.begin(), counts.end()),
-                 counts.end());
-    counts.erase(std::remove_if(counts.begin(), counts.end(),
-                                [](int c) { return c < 1; }),
-                 counts.end());
-    return counts;
-}
-
 } // namespace
 
 int
@@ -149,26 +122,22 @@ main()
     // datapath pipeline dominates, the compiled scheduler's home
     // turf), "default", and "membound" (slow DRAM — the generic
     // memory system dominates and the compiled sweep is mostly
-    // bypassed). The default-config rows additionally sweep the
-    // parallel scheduler's worker count (the membound rows are
-    // idle-dominated, so sharding has little left to win there).
+    // bypassed).
     const std::vector<Workload> workloads = {
-        {"103.stencil", "pipebound", 8, 1, false},
-        {"112.spmv", "pipebound", 8, 1, false},
-        {"gemm", "pipebound", 8, 1, false},
-        {"103.stencil", "default", 40, 4, true},
-        {"112.spmv", "default", 40, 4, true},
-        {"gemm", "default", 40, 4, true},
-        {"103.stencil", "membound", 400, 16, false},
-        {"112.spmv", "membound", 400, 16, false},
-        {"gemm", "membound", 400, 16, false},
+        {"103.stencil", "pipebound", 8, 1},
+        {"112.spmv", "pipebound", 8, 1},
+        {"gemm", "pipebound", 8, 1},
+        {"103.stencil", "default", 40, 4},
+        {"112.spmv", "default", 40, 4},
+        {"gemm", "default", 40, 4},
+        {"103.stencil", "membound", 400, 16},
+        {"112.spmv", "membound", 400, 16},
+        {"gemm", "membound", 400, 16},
     };
-    const std::vector<int> sweep = sweepThreadCounts();
 
     std::printf("Simulation-kernel throughput: reference vs "
                 "event-driven vs compiled (specialized; bat = batched "
-                "replica stepping, cmp = batching off) vs sharded "
-                "parallel scheduler\n");
+                "replica stepping, cmp = batching off)\n");
     std::printf("%-14s %-9s %5s %10s %10s %10s %10s %8s %8s %12s\n",
                 "Application", "config", "inst", "ref (ms)", "evt (ms)",
                 "cmp (ms)", "bat (ms)", "cmp spd", "bat spd",
@@ -176,7 +145,6 @@ main()
 
     std::vector<Row> rows;
     double max_speedup = 0.0;
-    double max_parallel_speedup = 0.0;
     double compiled_speedup_log_sum = 0.0;
     int compiled_speedup_count = 0;
     double batched_speedup_log_sum = 0.0;
@@ -192,19 +160,24 @@ main()
         bool ref_ok = false, evt_ok = false, cmp_ok = false,
              bat_ok = false;
         row.refWallMs = bestTimedRun(*app, sim::SchedulerMode::Reference,
-                                     load, 0, ref_metrics, ref_ok);
+                                     load, ref_metrics, ref_ok);
         row.evtWallMs =
-            bestTimedRun(*app, sim::SchedulerMode::EventDriven, load, 0,
+            bestTimedRun(*app, sim::SchedulerMode::EventDriven, load,
                          evt_metrics, evt_ok);
         row.cmpWallMs =
-            bestTimedRun(*app, sim::SchedulerMode::Compiled, load, 0,
+            bestTimedRun(*app, sim::SchedulerMode::Compiled, load,
                          cmp_metrics, cmp_ok, /*batch=*/false);
         row.batWallMs = bestTimedRun(*app, sim::SchedulerMode::Compiled,
-                                     load, 0, bat_metrics, bat_ok);
-        row.verified = ref_ok && evt_ok && cmp_ok && bat_ok &&
-                       ref_metrics.cycles == evt_metrics.cycles &&
-                       ref_metrics.cycles == cmp_metrics.cycles &&
-                       ref_metrics.cycles == bat_metrics.cycles;
+                                     load, bat_metrics, bat_ok);
+        // Both compiled variants sweep exactly the event-driven wake
+        // set, so their step counts must match it, not just the cycles.
+        row.verified =
+            ref_ok && evt_ok && cmp_ok && bat_ok &&
+            ref_metrics.cycles == evt_metrics.cycles &&
+            ref_metrics.cycles == cmp_metrics.cycles &&
+            ref_metrics.cycles == bat_metrics.cycles &&
+            cmp_metrics.componentSteps == evt_metrics.componentSteps &&
+            bat_metrics.componentSteps == evt_metrics.componentSteps;
         row.simCycles = evt_metrics.cycles;
         row.refSteps = ref_metrics.componentSteps;
         row.evtSteps = evt_metrics.componentSteps;
@@ -237,32 +210,6 @@ main()
                     cyclesPerSec(row.simCycles, row.batWallMs) / 1e6,
                     row.verified ? "" : "  [MISMATCH]");
 
-        if (load.threadSweep) {
-            for (int threads : sweep) {
-                benchsuite::RunMetrics par_metrics;
-                bool par_ok = false;
-                ParallelPoint point;
-                point.threads = threads;
-                point.wallMs =
-                    timedRun(*app, sim::SchedulerMode::Parallel, load,
-                             threads, par_metrics, par_ok);
-                point.verified = par_ok && row.verified &&
-                                 par_metrics.cycles == row.simCycles;
-                double par_speedup = point.wallMs > 0.0
-                                         ? row.evtWallMs / point.wallMs
-                                         : 0.0;
-                max_parallel_speedup =
-                    std::max(max_parallel_speedup, par_speedup);
-                std::printf("  parallel x%-2d %5d %10s %10.2f %7.2fx "
-                            "(vs evt) %15.2f%s\n",
-                            threads, par_metrics.instances, "",
-                            point.wallMs, par_speedup,
-                            cyclesPerSec(row.simCycles, point.wallMs) /
-                                1e6,
-                            point.verified ? "" : "  [MISMATCH]");
-                row.parallel.push_back(point);
-            }
-        }
         rows.push_back(row);
     }
 
@@ -271,7 +218,6 @@ main()
     w.field("benchmark", "sim_throughput");
     w.field("hardwareConcurrency", std::thread::hardware_concurrency());
     w.field("maxSpeedup", max_speedup);
-    w.field("maxParallelSpeedup", max_parallel_speedup);
     const double compiled_geomean =
         compiled_speedup_count > 0
             ? std::exp(compiled_speedup_log_sum /
@@ -335,18 +281,6 @@ main()
         w.field("busyCycles", busy);
         w.field("stalledCycles", stalled);
         w.endObject();
-
-        w.key("parallel").beginArray();
-        for (const ParallelPoint &pt : r.parallel) {
-            w.beginObject();
-            w.field("threads", pt.threads);
-            w.field("wallMs", pt.wallMs);
-            w.field("speedupVsEvt",
-                    pt.wallMs > 0.0 ? r.evtWallMs / pt.wallMs : 0.0);
-            w.field("verified", pt.verified);
-            w.endObject();
-        }
-        w.endArray();
         w.endObject();
     }
     w.endArray();
@@ -354,17 +288,12 @@ main()
     w.writeFile("BENCH_sim.json");
 
     bool all_verified = true;
-    for (const Row &r : rows) {
+    for (const Row &r : rows)
         all_verified = all_verified && r.verified;
-        for (const ParallelPoint &pt : r.parallel)
-            all_verified = all_verified && pt.verified;
-    }
     std::printf("\nmax wall-clock speedup: %.2fx (event-driven vs "
-                "reference), %.2fx (parallel vs event-driven); "
-                "compiled vs event-driven geomean %.2fx (batching "
-                "off), %.2fx (batched); results %s\n",
-                max_speedup, max_parallel_speedup, compiled_geomean,
-                batched_geomean,
+                "reference); compiled vs event-driven geomean %.2fx "
+                "(batching off), %.2fx (batched); results %s\n",
+                max_speedup, compiled_geomean, batched_geomean,
                 all_verified ? "identical across schedulers"
                              : "MISMATCHED");
     return all_verified ? 0 : 1;

@@ -72,9 +72,6 @@ struct CorePlan
     size_t poolCapacity = 1;
     /** Every kernel of the program fits the region together (§III-B). */
     bool allFit = false;
-    /** Parallel->Reference graceful degradation (serial path only: the
-     *  pristine-memory snapshot races with concurrent launches). */
-    bool allowDegradation = false;
 
     // -- Reliability layer ------------------------------------------
     /** Watchdog cycle budget; 0 = heuristic maxCycles cap only. */
@@ -85,10 +82,6 @@ struct CorePlan
     /** 0 on the first execution, k on the k-th retry; part of the
      *  fault key so retries re-roll. */
     int attempt = 0;
-    /** Launch was enqueued with a retry budget: transient scheduler
-     *  blowups should surface as TransientFault instead of degrading
-     *  in place (the queue path's generalized degradation). */
-    bool retryEligible = false;
     /** Device spans of the buffer arguments (pristine-memory rerun). */
     std::vector<std::pair<uint64_t, uint64_t>> bufferSpans;
 };
@@ -192,9 +185,8 @@ struct Command
 
 /**
  * The per-context launch worker pool plus the admission valve: a plain
- * bounded task pool (contrast with the Simulator's phase-barrier shard
- * pool, which synchronizes *within* one cycle of one circuit — this
- * one schedules whole independent launches and never barriers).
+ * bounded task pool that schedules whole independent launches (each
+ * simulation itself runs on the one worker that picked it up).
  */
 class LaunchEngine
 {

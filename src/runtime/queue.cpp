@@ -98,8 +98,7 @@ Command::execute(Context &ctx)
         // restored from a snapshot of its buffer-argument spans taken
         // before the first attempt. Only the spans this launch can
         // touch are saved, so concurrent launches are never disturbed
-        // (which is why the PR 3 whole-memory snapshot had to stay
-        // serial-path-only).
+        // (a whole-memory snapshot would race with their writes).
         std::vector<std::vector<uint8_t>> pristine;
         bool snapshotted = false;
         if (kind == Kind::NDRange && retryAttempts > 0 &&
@@ -155,7 +154,7 @@ Command::execute(Context &ctx)
                     break;
                 }
                 break; // Attempt succeeded.
-            } catch (const TransientFault &tf) {
+            } catch (const TransientFault &) {
                 ++transientFaults;
                 if (att >= retryAttempts ||
                     cancel->load(std::memory_order_acquire)) {
@@ -164,12 +163,6 @@ Command::execute(Context &ctx)
                 }
                 ++retriesUsed;
                 backoff_total += backoffNs << (retriesUsed - 1);
-                if (tf.kind() == TransientFaultKind::SchedulerInternal) {
-                    // Generalized PR 3 degradation: a scheduler blowup
-                    // retries on the always-correct Reference
-                    // scheduler instead of failing the launch.
-                    plan.plat.scheduler = sim::SchedulerMode::Reference;
-                }
                 if (snapshotted) {
                     for (size_t i = 0; i < plan.bufferSpans.size(); ++i) {
                         ctx.device().dmaWrite(plan.bufferSpans[i].first,
@@ -570,7 +563,6 @@ Context::injectedFaults() const
     c.launchAborts = injLaunchAborts_.load();
     c.dmaTransfers = injDmaFaults_.load();
     c.poolCheckouts = injPoolFaults_.load();
-    c.schedulerTrips = injSchedTrips_.load();
     return c;
 }
 
@@ -641,12 +633,10 @@ CommandQueue::enqueueNDRange(KernelHandle &kernel,
         plat.faults = options_.faults;
     }
     cmd->plan = context_.resolveLaunch(kernel, ndrange, mode, plat,
-                                       instance_override,
-                                       /*allow_degradation=*/false);
+                                       instance_override);
     if (options_.launchTimeoutCycles > 0)
         cmd->plan.timeoutCycles = options_.launchTimeoutCycles;
     resolveReliability(*cmd);
-    cmd->plan.retryEligible = cmd->retryAttempts > 0;
     enqueueCommand(std::move(cmd), wait_list, event);
 }
 

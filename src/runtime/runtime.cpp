@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <thread>
@@ -311,29 +310,6 @@ namespace
 {
 
 /**
- * Strict SOFF_THREADS parser: a bare positive decimal integer in
- * [1, 1024]. Anything else — non-numeric text, trailing garbage,
- * zero, negatives, overflow — is rejected with CL_INVALID_VALUE
- * rather than silently becoming atoi()'s 0 (= "auto").
- */
-int
-parseThreadCount(const char *text)
-{
-    errno = 0;
-    char *end = nullptr;
-    long v = std::strtol(text, &end, 10);
-    bool bare_digits = *text >= '0' && *text <= '9'; // no ws/sign
-    if (!bare_digits || end == text || *end != '\0' || errno == ERANGE ||
-        v < 1 || v > 1024) {
-        throw OpenClError(ClStatus::InvalidValue, strFormat(
-            "invalid SOFF_THREADS '%s': expected an integer between 1 "
-            "and 1024 (unset or 0-valued config means "
-            "hardware_concurrency)", text));
-    }
-    return static_cast<int>(v);
-}
-
-/**
  * Strict cycle-bound parser for the SOFF_TRACE window: a bare decimal
  * uint64 (no sign, no whitespace, no trailing text). `what` and `spec`
  * feed the error message.
@@ -397,21 +373,19 @@ parseTraceSpec(const char *text, sim::PlatformConfig &plat)
 
 /**
  * Environment overrides. SOFF_SCHEDULER selects the simulation kernel
- * by name ("reference", "event-driven", "parallel", "compiled",
- * "cross-check") — applied only when the caller left the default
- * (Compiled), so code that explicitly pins a mode (tests, benchmark
- * baselines, the cross-check itself) is not affected. SOFF_SPECIALIZE=0
- * turns the default Compiled scheduler back into plain EventDriven
- * (and clears PlatformConfig::specialize, a circuit-cache key field).
+ * by name ("reference", "event-driven", "compiled", "cross-check") —
+ * applied only when the caller left the default (Compiled), so code
+ * that explicitly pins a mode (tests, benchmark baselines, the
+ * cross-check itself) is not affected. SOFF_SPECIALIZE=0 turns the
+ * default Compiled scheduler back into plain EventDriven (and clears
+ * PlatformConfig::specialize, a circuit-cache key field).
  * SOFF_BATCH_STEP=0 keeps the compiled plan but steps awake replicas
  * one at a time instead of batching whole (level, thunk) buckets
- * (PlatformConfig::batchStep, also a cache-key field).
- * SOFF_THREADS sets the parallel worker count when the
- * caller left it at 0 (auto). SOFF_FAULTS installs a delay-only
- * fault-injection plan (sim/fault.hpp grammar) when the caller did
- * not already configure one. SOFF_TRACE enables the Chrome trace
- * exporter and SOFF_STATS the structured StatsReport export, each only
- * when the caller did not already set a path.
+ * (PlatformConfig::batchStep, also a cache-key field). SOFF_FAULTS
+ * installs a delay-only fault-injection plan (sim/fault.hpp grammar)
+ * when the caller did not already configure one. SOFF_TRACE enables
+ * the Chrome trace exporter and SOFF_STATS the structured StatsReport
+ * export, each only when the caller did not already set a path.
  */
 void
 applyEnvOverrides(sim::PlatformConfig &plat)
@@ -446,8 +420,7 @@ applyEnvOverrides(sim::PlatformConfig &plat)
             if (!sim::schedulerModeFromName(name, &mode)) {
                 throw OpenClError(ClStatus::InvalidValue, strFormat(
                     "unknown SOFF_SCHEDULER '%s': valid values are "
-                    "reference, event-driven, parallel, compiled, "
-                    "cross-check",
+                    "reference, event-driven, compiled, cross-check",
                     name));
             }
             plat.scheduler = mode;
@@ -455,11 +428,6 @@ applyEnvOverrides(sim::PlatformConfig &plat)
         if (plat.scheduler == sim::SchedulerMode::Compiled &&
             !plat.specialize)
             plat.scheduler = sim::SchedulerMode::EventDriven;
-    }
-    if (plat.threads == 0) {
-        const char *threads = std::getenv("SOFF_THREADS");
-        if (threads != nullptr && *threads != '\0')
-            plat.threads = parseThreadCount(threads);
     }
     if (!plat.faults.enabled() && !plat.faults.checkInvariants) {
         const char *faults = std::getenv("SOFF_FAULTS");
@@ -492,7 +460,8 @@ struct ModeRun
     sim::CircuitStats stats;
     sim::SchedulerStats sched;
     uint64_t retired = 0;
-    std::vector<uint8_t> mem; ///< Final global memory contents.
+    /** Final global memory (outlives the verdict; not copied). */
+    const memsys::GlobalMemory *mem = nullptr;
 };
 
 /**
@@ -552,14 +521,15 @@ crossCheckCompare(const std::string &kernel, const char *mode,
         if (!diff.empty())
             fail("StatsReport: " + diff);
     }
-    if (ref.mem != alt.mem)
+    if (!std::equal(ref.mem->data(), ref.mem->data() + ref.mem->size(),
+                    alt.mem->data(), alt.mem->data() + alt.mem->size()))
         fail("final global memory contents differ");
 }
 
 /**
  * Structural equality of platform configs: the fields that shape the
- * built circuit (timing parameters, scheduler/thread layout, FIFO
- * sizing overrides). Trace/stats export paths are observational and
+ * built circuit (timing parameters, scheduler, FIFO sizing
+ * overrides). Trace/stats export paths are observational and
  * deliberately excluded; fault configs never reach the pool (faulted
  * launches bypass it).
  */
@@ -569,8 +539,7 @@ samePlatformStructure(const sim::PlatformConfig &a,
 {
     return a.dramLatency == b.dramLatency &&
            a.dramCyclesPerLine == b.dramCyclesPerLine &&
-           a.scheduler == b.scheduler && a.threads == b.threads &&
-           a.specialize == b.specialize &&
+           a.scheduler == b.scheduler && a.specialize == b.specialize &&
            a.batchStep == b.batchStep &&
            a.memRespWindowOverride == b.memRespWindowOverride &&
            a.balanceFifoCap == b.balanceFifoCap;
@@ -709,14 +678,20 @@ Context::releaseBuffer(Buffer &buffer)
 void
 Context::writeBuffer(const Buffer &buffer, const void *src, uint64_t size)
 {
-    SOFF_ASSERT(size <= buffer.size(), "write exceeds buffer size");
+    if (size > buffer.size()) {
+        throw OpenClError(ClStatus::InvalidValue,
+                          "writeBuffer: size exceeds the buffer");
+    }
     device_.dmaWrite(buffer.deviceAddress(), size, src);
 }
 
 void
 Context::readBuffer(const Buffer &buffer, void *dst, uint64_t size)
 {
-    SOFF_ASSERT(size <= buffer.size(), "read exceeds buffer size");
+    if (size > buffer.size()) {
+        throw OpenClError(ClStatus::InvalidValue,
+                          "readBuffer: size exceeds the buffer");
+    }
     device_.dmaRead(buffer.deviceAddress(), size, dst);
 }
 
@@ -734,7 +709,7 @@ detail::CorePlan
 Context::resolveLaunch(KernelHandle &kernel, const sim::NDRange &ndrange,
                        ExecutionMode mode,
                        const sim::PlatformConfig &platform,
-                       int instance_override, bool allow_degradation)
+                       int instance_override)
 {
     const core::CompiledKernel &ck = kernel.compiled();
     for (int d = 0; d < 3; ++d) {
@@ -784,7 +759,6 @@ Context::resolveLaunch(KernelHandle &kernel, const sim::NDRange &ndrange,
                      !plan.plat.faults.perturbsTiming() &&
                      !plan.plat.faults.checkInvariants;
     plan.poolCapacity = plan.cacheable ? templatePoolCapacity() : 0;
-    plan.allowDegradation = allow_degradation;
     // Reliability layer: the watchdog budget (queue options override
     // this after return), the deterministic fault ordinal, and the
     // buffer spans the retry path snapshots/restores.
@@ -838,25 +812,24 @@ Context::runLaunchCore(const detail::CorePlan &cp, uint64_t *duration_ns,
     device_.ensureResident(ck.kernel->name(), cp.allFit);
 
     bool crosscheck = cp.crosscheck;
-    ModeRun ref_side, par_side, comp_side;
-    std::unique_ptr<memsys::GlobalMemory> ref_memory, par_memory,
-        comp_memory;
-    std::exception_ptr ref_error, par_error, comp_error;
+    ModeRun ref_side, comp_side;
+    std::unique_ptr<memsys::GlobalMemory> ref_memory, comp_memory;
+    std::exception_ptr ref_error, comp_error;
     // Declared after everything the side runs touch: if the primary run
     // throws, unwinding joins them before that state is destroyed.
     std::vector<std::jthread> checkers;
     if (crosscheck) {
-        // The four schedulers run concurrently: the reference,
-        // parallel, and compiled circuits each on a private copy of
-        // global memory (atomics and stores must not be applied
-        // twice), the event-driven circuit below on device memory —
-        // its effects are the ones the caller keeps.
+        // The three schedulers run concurrently: the reference and
+        // compiled circuits each on a private copy of global memory
+        // (atomics and stores must not be applied twice), the
+        // event-driven circuit below on device memory — its effects
+        // are the ones the caller keeps.
         ref_memory = std::make_unique<memsys::GlobalMemory>(
-            device_.globalMemory());
-        par_memory = std::make_unique<memsys::GlobalMemory>(
             device_.globalMemory());
         comp_memory = std::make_unique<memsys::GlobalMemory>(
             device_.globalMemory());
+        // Set before the side runs start: each copies `plat`.
+        plat.scheduler = sim::SchedulerMode::EventDriven;
         auto side_run = [&](sim::SchedulerMode mode,
                             memsys::GlobalMemory &memory, ModeRun &out,
                             std::exception_ptr &error) {
@@ -873,8 +846,7 @@ Context::runLaunchCore(const detail::CorePlan &cp, uint64_t *duration_ns,
                 out.stats = c.stats();
                 out.sched = c.simulator().schedulerStats();
                 out.retired = c.retired();
-                out.mem.assign(memory.data(),
-                               memory.data() + memory.size());
+                out.mem = &memory;
             } catch (...) {
                 error = std::current_exception();
             }
@@ -882,29 +854,9 @@ Context::runLaunchCore(const detail::CorePlan &cp, uint64_t *duration_ns,
         checkers.emplace_back(side_run, sim::SchedulerMode::Reference,
                               std::ref(*ref_memory), std::ref(ref_side),
                               std::ref(ref_error));
-        checkers.emplace_back(side_run, sim::SchedulerMode::Parallel,
-                              std::ref(*par_memory), std::ref(par_side),
-                              std::ref(par_error));
         checkers.emplace_back(side_run, sim::SchedulerMode::Compiled,
                               std::ref(*comp_memory),
                               std::ref(comp_side), std::ref(comp_error));
-        plat.scheduler = sim::SchedulerMode::EventDriven;
-    }
-
-    // Graceful degradation (robustness over speed): if the parallel
-    // scheduler itself fails with an internal error — not a deadlock
-    // or timeout, which are properties of the circuit, and not a
-    // SimInternalError, which is a circuit-level bug the reference
-    // scheduler would reproduce — fall back to the reference
-    // scheduler once, on pristine memory, with a logged warning.
-    // Queued launches disable this: the whole-memory snapshot would
-    // race with concurrent launches touching their own buffers.
-    std::vector<uint8_t> pristine;
-    bool degradable = cp.allowDegradation && !crosscheck &&
-                      plat.scheduler == sim::SchedulerMode::Parallel;
-    if (degradable) {
-        const memsys::GlobalMemory &m = device_.globalMemory();
-        pristine.assign(m.data(), m.data() + m.size());
     }
 
     // Circuit-template pool: reuse a previously built circuit for the
@@ -912,8 +864,8 @@ Context::runLaunchCore(const detail::CorePlan &cp, uint64_t *duration_ns,
     // instead of rebuilding. Observational or perturbing modes
     // (cross-check, fault injection, tracing) bypass the pool; the
     // template is checked out on hit and only returned after a fully
-    // successful run, so a throwing or degraded launch never parks a
-    // half-run circuit.
+    // successful run, so a throwing launch never parks a half-run
+    // circuit.
     std::unique_ptr<sim::KernelCircuit> circuit;
     if (cp.cacheable) {
         if (rt_faults.poolCheckoutFails(cp.ordinal, cp.attempt)) {
@@ -927,7 +879,6 @@ Context::runLaunchCore(const detail::CorePlan &cp, uint64_t *duration_ns,
         circuit = cp.program->takeCachedCircuit(ck.plan.get(),
                                                 instances, plat);
     }
-    bool fellBack = false;
     sim::Simulator::RunResult run;
     try {
         if (circuit != nullptr) {
@@ -945,48 +896,12 @@ Context::runLaunchCore(const detail::CorePlan &cp, uint64_t *duration_ns,
                           e.report());
     } catch (const memsys::MemoryFault &e) {
         throw memoryFaultError(ck, e);
-    } catch (const OpenClError &) {
-        throw;
-    } catch (const RuntimeError &e) {
-        if (!degradable) {
-            if (cp.retryEligible && !cp.crosscheck &&
-                plat.scheduler == sim::SchedulerMode::Parallel) {
-                // The queue path's generalized degradation: surface
-                // the scheduler blowup as a transient fault so the
-                // retry layer re-runs the launch on the Reference
-                // scheduler (pristine memory, same results) instead of
-                // failing it — the in-place snapshot trick below is
-                // serial-path-only.
-                injSchedTrips_.fetch_add(1);
-                throw TransientFault(
-                    TransientFaultKind::SchedulerInternal, e.what());
-            }
-            throw;
-        }
-        std::fprintf(stderr,
-                     "SOFF warning: parallel scheduler failed for "
-                     "kernel '%s' (%s); retrying once on the "
-                     "reference scheduler\n",
-                     ck.kernel->name().c_str(), e.what());
-        memsys::GlobalMemory &m = device_.globalMemory();
-        std::copy(pristine.begin(), pristine.end(), m.data());
-        sim::PlatformConfig fallback = plat;
-        fallback.scheduler = sim::SchedulerMode::Reference;
-        circuit = std::make_unique<sim::KernelCircuit>(
-            *ck.plan, launch, device_.globalMemory(), instances,
-            fallback);
-        circuit->setStopFlag(cancel);
-        run = circuit->run(run_cap);
-        circuit->setStopFlag(nullptr);
-        fellBack = true;
     }
     if (crosscheck) {
         for (std::jthread &t : checkers)
             t.join();
         if (ref_error)
             std::rethrow_exception(ref_error);
-        if (par_error)
-            std::rethrow_exception(par_error);
         if (comp_error)
             std::rethrow_exception(comp_error);
         ModeRun evt_side;
@@ -994,29 +909,25 @@ Context::runLaunchCore(const detail::CorePlan &cp, uint64_t *duration_ns,
         evt_side.stats = circuit->stats();
         evt_side.sched = circuit->simulator().schedulerStats();
         evt_side.retired = circuit->retired();
-        const memsys::GlobalMemory &mem = device_.globalMemory();
-        evt_side.mem.assign(mem.data(), mem.data() + mem.size());
+        evt_side.mem = &device_.globalMemory();
         crossCheckCompare(ck.kernel->name(), "event-driven", ref_side,
                           evt_side);
-        crossCheckCompare(ck.kernel->name(), "parallel", ref_side,
-                          par_side);
         crossCheckCompare(ck.kernel->name(), "compiled", ref_side,
                           comp_side);
-        // The sharded scheduler must not just produce the same
-        // results but do the same amount of work: its union of
-        // per-shard wake lists is cycle-for-cycle the event-driven
-        // wake list.
+        // The compiled plan must not just produce the same results but
+        // do the same amount of work: it sweeps exactly the
+        // event-driven wake set, only in levelized order.
         if (evt_side.run.completed &&
             evt_side.sched.componentSteps !=
-                par_side.sched.componentSteps) {
+                comp_side.sched.componentSteps) {
             throw RuntimeError(strFormat(
                 "scheduler cross-check mismatch for kernel '%s': "
-                "componentSteps: event-driven=%llu parallel=%llu",
+                "componentSteps: event-driven=%llu compiled=%llu",
                 ck.kernel->name().c_str(),
                 static_cast<unsigned long long>(
                     evt_side.sched.componentSteps),
                 static_cast<unsigned long long>(
-                    par_side.sched.componentSteps)));
+                    comp_side.sched.componentSteps)));
         }
     }
     // Export trace/stats before the deadlock/timeout throw — stuck
@@ -1071,10 +982,8 @@ Context::runLaunchCore(const detail::CorePlan &cp, uint64_t *duration_ns,
     result.stats = circuit->stats();
     result.sched = circuit->simulator().schedulerStats();
     result.statsReport = run.stats;
-    // Park the circuit for the next matching launch. A degraded run
-    // holds a Reference-mode circuit that does not match the requested
-    // platform; it is dropped rather than pooled under the wrong key.
-    if (cp.cacheable && !fellBack)
+    // Park the circuit for the next matching launch.
+    if (cp.cacheable)
         cp.program->storeCachedCircuit(ck.plan.get(), instances, plat,
                                        std::move(circuit),
                                        cp.poolCapacity);
@@ -1097,8 +1006,7 @@ Context::enqueueNDRange(KernelHandle &kernel, const sim::NDRange &ndrange,
                         int instance_override, Event *event)
 {
     detail::CorePlan plan =
-        resolveLaunch(kernel, ndrange, mode, platform, instance_override,
-                      /*allow_degradation=*/true);
+        resolveLaunch(kernel, ndrange, mode, platform, instance_override);
     uint64_t duration_ns = 0;
     LaunchResult result = runLaunchCore(plan, &duration_ns);
     if (mode == ExecutionMode::Reference)

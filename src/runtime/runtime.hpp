@@ -79,10 +79,6 @@ enum class TransientFaultKind
     LaunchAbort,  ///< Injected mid-run launch abort (abortevery).
     DmaTransfer,  ///< Injected DMA transfer failure (dmaevery).
     PoolCheckout, ///< Injected template-pool checkout failure (poolevery).
-    /** A scheduler blew up mid-run (e.g. the trip= error-path knob);
-     *  a retry demotes the launch to the Reference scheduler — the
-     *  generalized graceful-degradation path. */
-    SchedulerInternal,
 };
 
 /**
@@ -517,12 +513,10 @@ struct InjectedFaultCounters
     uint64_t launchAborts = 0;
     uint64_t dmaTransfers = 0;
     uint64_t poolCheckouts = 0;
-    uint64_t schedulerTrips = 0;
 
     uint64_t total() const
     {
-        return launchAborts + dmaTransfers + poolCheckouts +
-               schedulerTrips;
+        return launchAborts + dmaTransfers + poolCheckouts;
     }
 };
 
@@ -729,8 +723,7 @@ class Context
                                    const sim::NDRange &ndrange,
                                    ExecutionMode mode,
                                    const sim::PlatformConfig &platform,
-                                   int instance_override,
-                                   bool allow_degradation);
+                                   int instance_override);
 
     /** Lazily created launch worker pool shared by all queues. */
     detail::LaunchEngine &engine(const QueueOptions &options);
@@ -750,7 +743,6 @@ class Context
     std::atomic<uint64_t> injLaunchAborts_{0};
     std::atomic<uint64_t> injDmaFaults_{0};
     std::atomic<uint64_t> injPoolFaults_{0};
-    std::atomic<uint64_t> injSchedTrips_{0};
 };
 
 } // namespace soff::rt

@@ -28,30 +28,18 @@
  * contiguous memory; destruction goes through a per-type thunk the
  * creating template records.
  *
- * For the event-driven scheduler a channel additionally
+ * For the event-driven schedulers a channel additionally
  *  - registers itself on the simulator's dirty list at the first
  *    staged push or pop of a cycle, so commit cost scales with the
  *    cycle's traffic rather than with circuit size, and
  *  - records its endpoint components (watchers) so a commit can wake
  *    exactly the producer and consumer for the next cycle. The wake
  *    sweep itself uses a flat index-span view (watchOff/watchCount
- *    into one simulator-wide index array) built by finalizeShards();
- *    the pointer list survives for forensics.
- *
- * Under the sharded parallel scheduler a channel belongs to the shard
- * that created it. A channel whose endpoints live in different shards
- * (root inputs, terminals, memory request/response links) is marked
- * cross-shard: its producer and consumer may stage a push and a pop
- * concurrently during phase 1, which is race-free because they touch
- * disjoint fields (`staged_`+the staged buffer slot vs. `popped_`+the
- * head slot) and the committed state they both read is frozen until
- * the phase-2 commit. Only the first-dirty mark needs synchronization:
- * an atomic flag claimed by exactly one endpoint, which then records
- * the channel in its own thread's collection list.
+ *    into one simulator-wide index array) built by
+ *    Simulator::finalize(); the pointer list survives for forensics.
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -101,7 +89,7 @@ class ChannelBase
         }
         committed_ += staged_;
         staged_ = 0;
-        clearDirty();
+        dirty_ = false;
         if (changed)
             noteCommit(pushes);
         return changed;
@@ -166,7 +154,6 @@ class ChannelBase
         staged_ = 0;
         popped_ = false;
         dirty_ = false;
-        crossDirty_.store(false, std::memory_order_relaxed);
     }
 
   protected:
@@ -184,10 +171,11 @@ class ChannelBase
      * no-ops. Inline on purpose — they sit inside every push/pop on
      * the hot path — and they read the stepping component's counters
      * through one thread-local pointer the sweeps redirect per step
-     * (per replica in the batched compiled sweep). The trace sample is
-     * the only part that needs the Component/Simulator definitions, so
-     * it stays out-of-line behind the tlsTraceOn flag the run loops
-     * set; noteCommit() runs on the committing thread and folds the
+     * (per replica in the batched compiled sweep); thread-local
+     * because CrossCheck runs several simulators on concurrent
+     * threads. The trace sample is the only part that needs the
+     * Component/Simulator definitions, so it stays out-of-line behind
+     * the tlsTraceOn flag the run loops set; noteCommit() folds the
      * commit into the channel's own token/occupancy counters plus the
      * trace sink. None of these feed back into scheduling.
      */
@@ -237,26 +225,10 @@ class ChannelBase
     void
     markDirty()
     {
-        if (crossShard_) {
-            // Both endpoints may race to mark; exactly one wins the
-            // exchange and records the channel on its thread's list.
-            if (!crossDirty_.load(std::memory_order_relaxed) &&
-                !crossDirty_.exchange(true, std::memory_order_relaxed)) {
-                tlsCrossDirty->push_back(this);
-            }
-            return;
-        }
         if (!dirty_ && dirtyList_ != nullptr) {
             dirty_ = true;
             dirtyList_->push_back(this);
         }
-    }
-    void
-    clearDirty()
-    {
-        dirty_ = false;
-        if (crossShard_)
-            crossDirty_.store(false, std::memory_order_relaxed);
     }
 
     /** Ring bookkeeping; shared by every Channel<T> instantiation. */
@@ -280,22 +252,23 @@ class ChannelBase
      *  sweeps, so tlsStepping is always set here. */
     void notePerfTrace();
 
-    /** Where the stepping thread collects cross-shard dirty marks
-     *  (parallel scheduler phase 1); null in the serial schedulers. */
-    static thread_local std::vector<ChannelBase *> *tlsCrossDirty;
+    // The hook thread-locals are constinit here and at their
+    // definitions in simulator.cpp. Without it, every other translation
+    // unit reaches them through GCC's weak TLS-init wrapper on each
+    // access, a check UBSan reports as a null-pointer load.
 
     /** The component the scheduler is stepping on this thread right
      *  now (trace attribution, forensics); null outside a sweep. */
-    static thread_local Component *tlsStepping;
+    static constinit thread_local Component *tlsStepping;
 
     /** The stepping component's perf counters (push/pop attribution);
      *  null outside a sweep. Kept as a separate lane from tlsStepping
      *  so the hot hook costs one TLS load and no Component deref. */
-    static thread_local PerfCounters *tlsStepPerf;
+    static constinit thread_local PerfCounters *tlsStepPerf;
 
     /** True while the owning simulator has a trace sink installed
      *  (set by the run loops; read by notePerfMove). */
-    static thread_local bool tlsTraceOn;
+    static constinit thread_local bool tlsTraceOn;
 
     uint64_t tokens_ = 0; ///< Committed pushes over the run.
     uint64_t maxOcc_ = 0; ///< Committed-occupancy high-water mark.
@@ -308,9 +281,6 @@ class ChannelBase
     std::vector<ChannelBase *> *dirtyList_ = nullptr;
     bool dirty_ = false;
     uint32_t index_ = 0; ///< Global creation index (commit ordering).
-    uint32_t shard_ = 0; ///< Home shard (parallel scheduler).
-    bool crossShard_ = false; ///< Endpoints live in different shards.
-    std::atomic<bool> crossDirty_{false};
     Simulator *sim_ = nullptr;          ///< Owning simulator (faults).
     const uint64_t *nowPtr_ = nullptr;  ///< The simulator's clock.
     const FaultPlan *faults_ = nullptr; ///< Null when injection is off.

@@ -18,7 +18,7 @@ KernelCircuit::KernelCircuit(const datapath::KernelPlan &plan,
     : plan_(plan), launch_(launch), memory_(memory),
       numInstances_(num_instances), platform_(platform),
       faultPlan_(platform.faults),
-      sim_(platform.scheduler, platform.threads),
+      sim_(platform.scheduler),
       dram_(platform.dramLatency, platform.dramCyclesPerLine)
 {
     SOFF_ASSERT(num_instances >= 1, "need at least one datapath");
@@ -35,18 +35,11 @@ KernelCircuit::KernelCircuit(const datapath::KernelPlan &plan,
     }
     board_ = std::make_unique<CompletionBoard>(launch.ndrange,
                                                num_instances);
-    // Shard layout for the parallel scheduler: one shard per datapath
-    // instance, plus shard 0 for everything shared (dispatcher,
-    // work-item counter, global caches + arbiters — they share DRAM
-    // timing state and may alias global-memory lines across
-    // instances). Per-instance local memory blocks are private and
-    // ride in their instance's shard.
-    //
     // Replicas must be layout-identical: instance i's components and
     // channels occupy the contiguous index range [i*K, (i+1)*K), which
-    // the data-oriented core relies on for shard homing and the flat
-    // watcher table. Any per-instance divergence in the build would
-    // silently break that batching, so it is asserted here.
+    // the data-oriented core relies on for replica batching and the
+    // flat watcher table. Any per-instance divergence in the build
+    // would silently break that batching, so it is asserted here.
     size_t comps_per_instance = 0;
     size_t chans_per_instance = 0;
     for (int i = 0; i < num_instances; ++i) {
@@ -67,7 +60,6 @@ KernelCircuit::KernelCircuit(const datapath::KernelPlan &plan,
                             "count than instance 0");
         }
     }
-    sim_.setBuildShard(0);
     buildMemorySubsystem();
 
     // Dispatcher limit: the §V-B work-group cap applies when the
@@ -97,7 +89,6 @@ void
 KernelCircuit::buildInstance(int instance)
 {
     currentInstance_ = instance;
-    sim_.setBuildShard(static_cast<uint32_t>(instance) + 1);
     std::string prefix = "dp" + std::to_string(instance) + ".";
     Channel<WiToken> *root_in = sim_.channel<WiToken>(2);
     Channel<WiToken> *terminal = sim_.channel<WiToken>(4);
@@ -461,17 +452,6 @@ KernelCircuit::buildMemorySubsystem()
             Group g;
             g.clients = clients;
             g.name = "cache" + std::to_string(cache_id);
-            // A lock table shared by units in different instances is a
-            // same-cycle non-channel coupling across shards (a release
-            // must wake waiters in the cycle it happens); the parallel
-            // scheduler cannot reproduce that deterministically, so
-            // such circuits run as a single shard.
-            for (const MemClient &c : g.clients) {
-                if (c.instance != g.clients.front().instance) {
-                    sim_.collapseShards();
-                    break;
-                }
-            }
             groups.push_back(std::move(g));
         } else {
             for (int inst = 0; inst < numInstances_; ++inst) {
@@ -538,9 +518,6 @@ KernelCircuit::buildMemorySubsystem()
             }
             if (mine.empty())
                 continue;
-            // Private to one instance: block, ports, and lock table
-            // all live in the instance's shard.
-            sim_.setBuildShard(static_cast<uint32_t>(inst) + 1);
             auto *block = sim_.add<memsys::LocalMemoryBlock>(
                 "dp" + std::to_string(inst) + ".lmem." +
                     lb.var->name(),
@@ -569,7 +546,6 @@ KernelCircuit::buildMemorySubsystem()
             }
         }
     }
-    sim_.setBuildShard(0); // dispatcher + counter are shared
 }
 
 Simulator::RunResult

@@ -37,9 +37,6 @@ struct PlatformConfig
      *  degrades to plain EventDriven whenever a specialization
      *  precondition fails. */
     SchedulerMode scheduler = SchedulerMode::Compiled;
-    /** Worker threads for SchedulerMode::Parallel (capped by the
-     *  shard count); 0 means hardware_concurrency(). */
-    int threads = 0;
     /** Allow the compiled-circuit specialization pass. When cleared
      *  (SOFF_SPECIALIZE=0), the runtime demotes a default Compiled
      *  scheduler back to plain EventDriven. Part of the circuit cache

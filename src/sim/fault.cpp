@@ -17,7 +17,7 @@ namespace
 constexpr const char *kGrammar =
     "expected a bare integer seed or a comma-separated key=value list "
     "with keys: seed, stall, memstall, stallmax, dramevery, dramspike, "
-    "dramjitter, slack, check, trip, abortevery, dmaevery, poolevery";
+    "dramjitter, slack, check, abortevery, dmaevery, poolevery";
 
 uint64_t
 parseU64(const std::string &key, const std::string &value)
@@ -107,8 +107,6 @@ FaultConfig::parse(const std::string &text)
                 std::min<uint64_t>(parseU64(key, value), 1u << 20));
         } else if (key == "check") {
             cfg.checkInvariants = parseU64(key, value) != 0;
-        } else if (key == "trip") {
-            cfg.tripCycle = parseU64(key, value);
         } else if (key == "abortevery") {
             cfg.abortEvery = static_cast<int>(
                 std::min<uint64_t>(parseU64(key, value), 1u << 20));
@@ -134,13 +132,12 @@ FaultConfig::describe() const
         return "faults off";
     return strFormat(
         "seed=%llu stall=%.3f memstall=%.3f stallmax=%d dramevery=%d "
-        "dramspike=%d dramjitter=%d slack=%d check=%d trip=%llu "
+        "dramspike=%d dramjitter=%d slack=%d check=%d "
         "abortevery=%d dmaevery=%d poolevery=%d",
         static_cast<unsigned long long>(seed), stallProb, memStallProb,
         stallMax, dramSpikeEvery, dramSpikeCycles, dramJitterMax,
-        fifoSlackCut, checkInvariants ? 1 : 0,
-        static_cast<unsigned long long>(tripCycle),
-        abortEvery, dmaFailEvery, poolFailEvery);
+        fifoSlackCut, checkInvariants ? 1 : 0, abortEvery, dmaFailEvery,
+        poolFailEvery);
 }
 
 uint64_t

@@ -37,7 +37,7 @@
  * construction rather than by bug. Every query is a pure function of
  * (seed, entity index, cycle) via stateless SplitMix64 hashing — no
  * mutable generator state, so queries are also safe from concurrent
- * shard threads and independent of query order.
+ * threads and independent of query order.
  *
  * Never perturbed, by design:
  *  - loop back-edge FIFOs (`backEdgeFifo`): reducing them breaks the
@@ -85,10 +85,6 @@ struct FaultConfig
     int fifoSlackCut = 2;
     /** Opt-in §V-A invariant checker on every load/store unit. */
     bool checkInvariants = false;
-    /** Error-path testing knob, NOT a delay-only fault: makes the
-     *  Parallel scheduler throw an internal error at this cycle so the
-     *  runtime's graceful-degradation retry can be exercised. 0 = off. */
-    uint64_t tripCycle = 0;
     /** Roughly every Nth (launch ordinal, attempt) aborts mid-run at a
      *  seeded cycle; 0 = off. Launch-visible, runtime-injected. */
     int abortEvery = 0;
@@ -108,7 +104,7 @@ struct FaultConfig
         return enabled() &&
                (stallProb > 0.0 || memStallProb > 0.0 ||
                 dramSpikeEvery > 0 || dramJitterMax > 0 ||
-                fifoSlackCut > 0 || tripCycle > 0);
+                fifoSlackCut > 0);
     }
 
     /** True if any launch-visible transient fault class is active. */
@@ -122,7 +118,7 @@ struct FaultConfig
      * Parses the SOFF_FAULTS grammar: either a bare integer seed, or a
      * comma-separated key=value list (seed=, stall=, memstall=,
      * stallmax=, dramevery=, dramspike=, dramjitter=, slack=, check=,
-     * trip=, abortevery=, dmaevery=, poolevery=). Throws RuntimeError
+     * abortevery=, dmaevery=, poolevery=). Throws RuntimeError
      * with the valid keys on bad input.
      */
     static FaultConfig parse(const std::string &text);
@@ -145,7 +141,6 @@ class FaultPlan
     const FaultConfig &config() const { return cfg_; }
     bool enabled() const { return cfg_.enabled(); }
     bool checkInvariants() const { return cfg_.checkInvariants; }
-    uint64_t tripCycle() const { return cfg_.tripCycle; }
 
     /** Cycles per hash window; stall windows start at epoch begin. */
     static constexpr uint64_t kEpochCycles = 64;

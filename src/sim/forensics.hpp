@@ -117,8 +117,7 @@ class BlockageProbe
  * An internal simulator/compiler bug detected by an invariant checker
  * (barrier buffering overflow, §V-A L_F guard, ordered-select wedge)
  * — as opposed to a RuntimeError caused by the user's input. Carries
- * the forensic report; the runtime maps it to CL_OUT_OF_RESOURCES and,
- * for Parallel-mode runs, may retry once on the Reference scheduler.
+ * the forensic report; the runtime maps it to CL_OUT_OF_RESOURCES.
  */
 class SimInternalError : public RuntimeError
 {

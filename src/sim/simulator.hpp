@@ -24,41 +24,29 @@
  *    missed, and that per-step state in components is either guarded
  *    by channel/timer conditions or derived from the cycle number.
  *
- *  - Parallel (sharded): the event-driven kernel, but the wake list is
- *    partitioned into shards (one per datapath instance plus one for
- *    the shared dispatch/memory-subsystem/counter components) driven
- *    by a persistent worker pool. Each cycle runs in two phases:
- *    (1) every shard steps its own wake list concurrently — safe
- *    because components only stage channel pushes/pops intra-cycle and
- *    never observe another shard's staged state; (2) after a barrier,
- *    dirty channels commit on their home shard in channel-index order.
- *    Per-shard wake lists, dirty lists, and timer heaps keep phase 1
- *    contention-free; cross-shard wakes (channel-watcher wakes raised
- *    while committing a channel whose endpoint lives elsewhere) go
- *    through per-shard outboxes drained at the barrier. The clock
- *    jumps to the minimum next wake across shards. Results are
- *    deterministic and identical to EventDriven regardless of thread
- *    interleaving: each shard sweeps in component-index order, staged
- *    channel state is invisible across shards until the commit
- *    barrier, commits are ordered by channel index, and every
- *    non-channel coupling (lock tables, loop gates, the completion
- *    board) is contained within a single shard — circuits where that
- *    does not hold (atomics on a cache shared across instances)
- *    collapse to a single shard and run serially.
+ *  - Compiled: the event-driven kernel plus a per-circuit specialized
+ *    step plan (sim/specialize.hpp) that sweeps the same wake set in
+ *    levelized, bucketed order and fuses internal channel commits
+ *    with their watcher wakes.
+ *
+ * All three run on the calling thread. The event-driven modes share
+ * one current/next wake-list pair and one timer heap, and one
+ * dirty-channel list serves every mode (Reference fills and clears it
+ * but commits every channel).
  *
  * Data-oriented core. The per-cycle path never goes through a vtable:
  * `add<T>` records a monomorphic step/holdsWork thunk pair per
  * component in a flat table (`steps_`), so a wake-list sweep is an
  * index walk over contiguous entries making direct calls; channel
- * commits are non-virtual (see channel.hpp). All scheduler bookkeeping
- * that used to live per-object (shard tag, pending timer, wake-list
- * flags) lives in SoA arrays indexed by component index, and watcher
+ * commits are non-virtual (see channel.hpp). Per-component scheduler
+ * bookkeeping (pending timer, wake-list flags) lives in SoA arrays
+ * indexed by component index, and watcher
  * wake-up walks a flat index-span table instead of per-channel pointer
  * vectors. Components and channels themselves — including every token
  * ring — are placement-constructed into a per-circuit slab arena in
  * build order, so one datapath instance occupies one contiguous region
- * (replica batching: N instances share the structure, their state is
- * N adjacent spans, and Parallel shards are index ranges over them).
+ * (replica batching: N instances share the structure and their state
+ * is N adjacent spans).
  * The `Component` virtual interface survives for construction-time
  * wiring, forensics (describeBlockage), and stats (kind()) — none of
  * which are on the per-cycle path.
@@ -71,11 +59,9 @@
 #pragma once
 
 #include <atomic>
-#include <exception>
 #include <memory>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/arena.hpp"
@@ -107,7 +93,6 @@ enum class SchedulerMode
 {
     Reference,   ///< Synchronous: step everything, commit everything.
     EventDriven, ///< Wake lists + dirty-channel commits + clock jumps.
-    Parallel,    ///< Sharded event-driven kernel on a worker pool.
     Compiled,    ///< Event-driven + per-circuit specialized step plan.
     CrossCheck,  ///< Run all modes, assert identical (runtime level).
 };
@@ -241,14 +226,9 @@ class Component
 class Simulator
 {
   public:
-    /**
-     * `threads` is the Parallel-mode worker count, capped by the shard
-     * count; 0 means std::thread::hardware_concurrency(). The other
-     * modes ignore it. Out-of-line (like the destructor) so the
-     * header can hold a unique_ptr to the incomplete CompiledPlan.
-     */
-    explicit Simulator(SchedulerMode mode = SchedulerMode::Reference,
-                       int threads = 0);
+    /** Out-of-line (like the destructor) so the header can hold a
+     *  unique_ptr to the incomplete CompiledPlan. */
+    explicit Simulator(SchedulerMode mode = SchedulerMode::Reference);
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
     ~Simulator();
@@ -269,7 +249,6 @@ class Simulator
         raw->sim_ = this;
         raw->index_ = static_cast<uint32_t>(components_.size());
         components_.push_back(raw);
-        compShard_.push_back(buildShard_);
         pendingWake_.push_back(kNoWake);
         schedFlags_.push_back(0);
         steps_.push_back(StepEntry{
@@ -300,7 +279,6 @@ class Simulator
             new (storage + i) T();
         auto *raw = new (mem) Channel<T>(capacity, storage);
         raw->index_ = static_cast<uint32_t>(channels_.size());
-        raw->shard_ = buildShard_;
         raw->sim_ = this;
         raw->nowPtr_ = &now_;
         raw->faults_ = faultPlan_;
@@ -328,25 +306,6 @@ class Simulator
      * it before a circuit is parked in the template pool.
      */
     void setStopFlag(const std::atomic<bool> *stop) { stopFlag_ = stop; }
-
-    /**
-     * Tags components and channels created from now on with a shard
-     * (Parallel mode partitioning; the circuit builder brackets each
-     * datapath instance). Shard 0 is the shared shard. The serial
-     * schedulers ignore the tags.
-     */
-    void
-    setBuildShard(uint32_t shard)
-    {
-        buildShard_ = shard;
-        maxShard_ = std::max(maxShard_, shard);
-    }
-    /**
-     * Declares the circuit unshardable (a non-channel coupling spans
-     * shards, e.g. a lock table shared across datapath instances):
-     * Parallel mode then runs everything as one shard, serially.
-     */
-    void collapseShards() { collapsed_ = true; }
 
     /**
      * Components with purely internal timed state (DRAM in flight,
@@ -384,10 +343,10 @@ class Simulator
     /**
      * Rewinds the simulator to its pre-first-run state for a fresh
      * launch of the same circuit: clock, scheduler/perf counters, SoA
-     * scheduling state, shard queues. Component/channel *structure*
-     * (and the worker pool, once spawned) is retained; the caller is
-     * responsible for having reset component and channel state
-     * (KernelCircuit::relaunch does both).
+     * scheduling state, wake lists and timer heap. Component/channel
+     * *structure* (and the compiled plan, once built) is retained, and
+     * component and channel dynamic state is reset here too
+     * (KernelCircuit::relaunch calls this).
      */
     void resetForRerun();
 
@@ -396,12 +355,7 @@ class Simulator
     size_t numComponents() const { return components_.size(); }
     const Component &component(size_t i) const { return *components_[i]; }
     size_t numChannels() const { return channels_.size(); }
-    /** Aggregated over shards; exact and mode-independent counters. */
-    SchedulerStats schedulerStats() const;
-    /** Shard count resolved at the first run (1 before that). */
-    size_t numShards() const { return shards_.empty() ? 1 : shards_.size(); }
-    /** Worker threads (including the coordinator) after the first run. */
-    int parallelWorkers() const { return numWorkers_; }
+    SchedulerStats schedulerStats() const { return stats_; }
     /** Bytes the circuit arena has handed out (diagnostics). */
     size_t arenaBytes() const { return arena_.bytesAllocated(); }
 
@@ -453,18 +407,15 @@ class Simulator
     /**
      * Called by a channel whose fault gate blocked a query: arms a
      * timer wake at the window's clear cycle for the component being
-     * swept right now (the querier — always same-shard, so this never
-     * trips the cross-shard timer assertion). A no-op outside a step
-     * sweep: the reference scheduler steps everything anyway.
+     * swept right now (the querier). A no-op outside a step sweep: the
+     * reference scheduler steps everything anyway.
      */
     void faultRetryAt(Cycle clear);
     /**
      * Wakes `c` with same-cycle visibility semantics: if the current
-     * cycle's in-order sweep of c's shard has not yet passed `c`, it
-     * is stepped this cycle (as the synchronous reference would),
-     * otherwise next cycle. A wake that crosses shards is delivered at
-     * the cycle barrier for the next cycle; the circuit builder keeps
-     * every same-cycle coupling inside one shard.
+     * cycle's in-order sweep has not yet passed `c`, it is stepped
+     * this cycle (as the synchronous reference would), otherwise next
+     * cycle.
      */
     void wakeComponent(Component *c);
 
@@ -488,30 +439,6 @@ class Simulator
                    (cycle == o.cycle && index > o.index);
         }
     };
-
-    /** Per-shard scheduler state. Only the shard's owning thread of
-     *  the current phase touches it; the cycle barriers order the
-     *  hand-offs. Padded against false sharing. */
-    struct alignas(64) Shard
-    {
-        std::vector<uint32_t> currentList; ///< This cycle's wake list.
-        std::vector<uint32_t> nextList;    ///< Next cycle's wake list.
-        std::vector<ChannelBase *> dirtyChannels; ///< Shard-local dirty.
-        std::vector<ChannelBase *> crossDirty; ///< Cross-shard, claimed here.
-        std::vector<ChannelBase *> commitList; ///< Phase-2 scratch.
-        std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                            std::greater<HeapEntry>>
-            timerHeap;
-        /** outbox[t]: components of shard t to wake next cycle. */
-        std::vector<std::vector<uint32_t>> outbox;
-        uint32_t id = 0;
-        size_t sweepPos = 0;
-        bool sweeping = false;
-        uint64_t componentSteps = 0;
-        uint64_t channelCommits = 0;
-    };
-
-    enum PhaseKind { kPhaseStep = 1, kPhaseCommit = 2, kPhaseExit = 3 };
 
     static constexpr Cycle kNoWake = ~Cycle{0};
 
@@ -561,27 +488,23 @@ class Simulator
 
     RunResult runReference(const bool *done, Cycle max_cycles,
                            Cycle deadlock_window);
-    RunResult runSharded(const bool *done, Cycle max_cycles);
-    void finalizeShards();
-    void gatherWakes(Shard &sh);
-    void stepShard(Shard &sh);
-    void commitShard(Shard &sh);
-    void drainOutboxes();
-    void runPhase(PhaseKind kind);
-    void shardLoop(PhaseKind kind);
-    void workerMain();
+    RunResult runEventDriven(const bool *done, Cycle max_cycles);
+    void finalize();
+    void seedWakes();
+    void gatherWakes();
+    void stepWakeList();
+    void commitDirtyChannels();
 
     // Compiled-mode specialization (sim/specialize.cpp). The plan is
-    // built once at finalizeShards; the per-cycle entry points replace
+    // built once at finalize(); the per-cycle entry points replace
     // gatherWakes and extend the commit phase for fused channels.
     void buildCompiledPlan();
-    void gatherCompiled(Shard &sh);
-    void sweepActiveSegments(Shard &sh);
-    void commitSegmentChannels(Shard &sh);
+    void gatherCompiled();
+    void sweepActiveSegments();
+    void commitSegmentChannels();
     void resetCompiledState();
 
     SchedulerMode mode_;
-    int threadsRequested_;
 
     /** Slab storage behind every component, channel, and token ring. */
     Arena arena_;
@@ -597,7 +520,6 @@ class Simulator
 
     // SoA scheduler state, indexed by component index. Lives here (not
     // in Component) so sweeps and wake delivery touch dense arrays.
-    std::vector<uint32_t> compShard_;  ///< Owning shard per component.
     std::vector<Cycle> pendingWake_;   ///< Earliest heap-scheduled wake.
     std::vector<uint8_t> schedFlags_;  ///< kInWakeList | kInNextList.
 
@@ -615,29 +537,24 @@ class Simulator
     /** Specialized step plan (Compiled mode only; null = generic). */
     std::unique_ptr<CompiledPlan> plan_;
 
-    // Reference-mode dirty tracking (channels bind to this list until
-    // the sharded schedulers re-bind them at finalizeShards()).
+    /** Channels staged on this cycle, in first-touch order; every
+     *  simulator channel binds here at creation (a compiled plan
+     *  rebinds its fused channels to the plan's own list). */
     std::vector<ChannelBase *> dirtyChannels_;
 
-    // Sharded (event-driven / parallel) machinery.
-    uint32_t buildShard_ = 0;
-    uint32_t maxShard_ = 0;
-    bool collapsed_ = false;
-    bool shardsReady_ = false;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    static thread_local Shard *tlsShard_;
-
-    // Worker pool (Parallel mode with more than one worker).
-    int numWorkers_ = 1;
-    std::vector<std::thread> workers_;
-    std::atomic<uint64_t> phaseGo_{0};
-    std::atomic<uint32_t> phaseArrived_{0};
-    std::atomic<uint32_t> shardCursor_{0};
-    std::atomic<int> phaseKind_{0};
-    std::atomic<bool> workerFailed_{false};
-    /** The first worker failure, rethrown with its type intact (a
-     *  memory fault must surface the same on every scheduler). */
-    std::exception_ptr workerError_;
+    // Event-driven machinery (EventDriven and Compiled).
+    std::vector<uint32_t> currentList_; ///< This cycle's wake list.
+    std::vector<uint32_t> nextList_;    ///< Next cycle's wake list.
+    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
+                        std::greater<HeapEntry>>
+        timerHeap_;
+    size_t sweepPos_ = 0;     ///< Cursor of the in-order step sweep.
+    bool sweeping_ = false;   ///< Inside stepWakeList().
+    /** Inside a cycle's gather/step/commit: wake requests are only
+     *  recorded then (Reference steps everything; construction-time
+     *  and reset-time requests are dropped). */
+    bool scheduling_ = false;
+    bool finalized_ = false;
 };
 
 } // namespace soff::sim

@@ -32,7 +32,7 @@ namespace
  *    handoff), caches and the completion counter (flush protocol),
  *    the dispatcher (slot retire), and loop gates (SWGR admission);
  *  - always-awake components, which re-arm themselves from inside
- *    the generic stepShard loop;
+ *    the generic stepWakeList loop;
  *  - unknown (Other) kinds, which make no behavioral promises.
  *
  * Channel-only and timer-only kinds are safe: channel wakes are
@@ -62,8 +62,6 @@ eligibleKind(ComponentKind kind)
 void
 Simulator::buildCompiledPlan()
 {
-    SOFF_ASSERT(shards_.size() == 1,
-                "compiled plans require the single-shard layout");
     const uint32_t n_comp = static_cast<uint32_t>(components_.size());
     const uint32_t n_chan = static_cast<uint32_t>(channels_.size());
     auto plan = std::make_unique<CompiledPlan>();
@@ -314,7 +312,7 @@ Simulator::buildCompiledPlan()
 }
 
 void
-Simulator::gatherCompiled(Shard &sh)
+Simulator::gatherCompiled()
 {
     // Generic gather, with one twist: wakes addressed to segment
     // members are rerouted into the plan's buckets instead of the
@@ -323,9 +321,9 @@ Simulator::gatherCompiled(Shard &sh)
     // and a component still steps at most once per cycle — the member
     // flag is a set, like the wake-list flag it replaces.
     CompiledPlan &p = *plan_;
-    sh.currentList.swap(sh.nextList);
+    currentList_.swap(nextList_);
     size_t out = 0;
-    for (uint32_t index : sh.currentList) {
+    for (uint32_t index : currentList_) {
         uint8_t &flags = schedFlags_[index];
         uint32_t pos = p.compOrderPos[index];
         if (pos != CompiledPlan::kNoSegment) {
@@ -335,12 +333,12 @@ Simulator::gatherCompiled(Shard &sh)
         }
         flags = static_cast<uint8_t>((flags & ~kInNextList) |
                                      kInWakeList);
-        sh.currentList[out++] = index;
+        currentList_[out++] = index;
     }
-    sh.currentList.resize(out);
-    while (!sh.timerHeap.empty() && sh.timerHeap.top().cycle == now_) {
-        HeapEntry e = sh.timerHeap.top();
-        sh.timerHeap.pop();
+    currentList_.resize(out);
+    while (!timerHeap_.empty() && timerHeap_.top().cycle == now_) {
+        HeapEntry e = timerHeap_.top();
+        timerHeap_.pop();
         if (pendingWake_[e.index] != e.cycle)
             continue; // stale
         pendingWake_[e.index] = kNoWake;
@@ -354,14 +352,14 @@ Simulator::gatherCompiled(Shard &sh)
         uint8_t &flags = schedFlags_[e.index];
         if (!(flags & kInWakeList)) {
             flags |= kInWakeList;
-            sh.currentList.push_back(e.index);
+            currentList_.push_back(e.index);
         }
     }
-    std::sort(sh.currentList.begin(), sh.currentList.end());
+    std::sort(currentList_.begin(), currentList_.end());
 }
 
 void
-Simulator::sweepActiveSegments(Shard &sh)
+Simulator::sweepActiveSegments()
 {
     CompiledPlan &p = *plan_;
     if (p.touched.empty())
@@ -446,18 +444,18 @@ Simulator::sweepActiveSegments(Shard &sh)
             sweep_bucket(b);
     }
     p.touched.clear();
-    sh.componentSteps += stepped;
+    stats_.componentSteps += stepped;
     ChannelBase::tlsStepPerf = nullptr;
 }
 
 void
-Simulator::commitSegmentChannels(Shard &sh)
+Simulator::commitSegmentChannels()
 {
-    // Fused commit+activate: runs right after the generic commitShard,
+    // Fused commit+activate: runs right after commitDirtyChannels,
     // still at the end of the same cycle the transfers were staged in,
     // so commit timing (and with it channel token/occupancy stats and
-    // every consumer-visible occupancy) is identical to the two-phase
-    // barrier. One pass commits the channel and records its watchers'
+    // every consumer-visible occupancy) is identical to the generic
+    // two-phase commit. One pass commits the channel and records its watchers'
     // wakes for next cycle — the exact set the generic path would have
     // pushed through scheduleIndexAt, minus the flag/next-list/sort
     // bookkeeping (the member flags dedup, like the next-list flag).
@@ -466,7 +464,7 @@ Simulator::commitSegmentChannels(Shard &sh)
     const uint32_t *wpos = p.fusedWatchPos.data();
     for (ChannelBase *ch : p.segDirty) {
         if (ch->commit())
-            ++sh.channelCommits;
+            ++stats_.channelCommits;
         // Watcher wakes through the flat CSR position spans built at
         // plan time — no watcher-pointer chase, no compOrderPos
         // lookup, same wake set and order as the pointer walk.

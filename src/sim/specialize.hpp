@@ -2,7 +2,7 @@
  * @file
  * Circuit specialization for SchedulerMode::Compiled.
  *
- * At the first run of a compiled-mode simulator (finalizeShards), the
+ * At the first run of a compiled-mode simulator (finalize()), the
  * component/channel graph is analyzed once and lowered into a
  * CompiledPlan the per-cycle loop executes directly. Three
  * specializations, each with a per-element fallback to the generic
@@ -34,7 +34,7 @@
  *     — staged pushes/pops still land at the end of the cycle they
  *     were staged in — so channel stats (tokensDelivered,
  *     maxOccupancy) and every consumer-visible occupancy are
- *     bit-identical to the generic two-phase barrier.
+ *     bit-identical to the generic two-phase commit.
  *
  *  3. Replica-batched (SIMD-style) stepping. Members are ordered by
  *     (level, step thunk, index); within a level there are no edges,

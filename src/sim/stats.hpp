@@ -6,10 +6,10 @@
  * spent moving tokens, tokens through a channel, cache line fills —
  * never the scheduler that happened to simulate it. That split is the
  * determinism contract: a StatsReport is bit-identical across
- * Reference, EventDriven, and Parallel runs of the same launch (any
- * thread count), and the cross-check harness enforces it. Counters
- * that depend on scheduling strategy (components stepped, cycles the
- * wake loop was active) live in SchedulerStats instead.
+ * Reference, EventDriven, and Compiled runs of the same launch, and
+ * the cross-check harness enforces it. Counters that depend on
+ * scheduling strategy (components stepped, cycles the wake loop was
+ * active) live in SchedulerStats instead.
  *
  * Counter taxonomy per component:
  *  - busy     — cycles the unit moved at least one token (or, for the

@@ -11,8 +11,7 @@
  *
  * The sink is cheap by construction: component/channel tracks are
  * preallocated vectors indexed by the simulator-assigned index, every
- * track has exactly one writer (the stepping thread for components in
- * phase 1, the home-shard commit thread for channels in phase 2), and
+ * track has exactly one writer (the simulator that owns the sink), and
  * the [start, end) cycle window drops everything else before any
  * allocation happens. Tracing never feeds back into scheduling, so a
  * traced run is still bit-identical to an untraced one.

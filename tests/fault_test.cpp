@@ -1,8 +1,7 @@
 /** @file Fault-injection and forensics tests: the delay-only fault
  *  campaign (outputs bit-identical under any FaultPlan, in every
  *  scheduler mode), the undersized-FIFO DeadlockReport, hardened
- *  SOFF_* environment parsing, OpenCL status-code mapping, and the
- *  Parallel->Reference graceful-degradation retry. */
+ *  SOFF_* environment parsing, and OpenCL status-code mapping. */
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -74,7 +73,7 @@ TEST(FaultConfig, KeyValueList)
 {
     sim::FaultConfig cfg = sim::FaultConfig::parse(
         "seed=7,stall=0.5,memstall=0.25,stallmax=3,dramevery=2,"
-        "dramspike=10,dramjitter=1,slack=1,check=1,trip=99");
+        "dramspike=10,dramjitter=1,slack=1,check=1");
     EXPECT_EQ(cfg.seed, 7u);
     EXPECT_DOUBLE_EQ(cfg.stallProb, 0.5);
     EXPECT_DOUBLE_EQ(cfg.memStallProb, 0.25);
@@ -84,7 +83,6 @@ TEST(FaultConfig, KeyValueList)
     EXPECT_EQ(cfg.dramJitterMax, 1);
     EXPECT_EQ(cfg.fifoSlackCut, 1);
     EXPECT_TRUE(cfg.checkInvariants);
-    EXPECT_EQ(cfg.tripCycle, 99u);
 }
 
 TEST(FaultConfig, RejectsBadInput)
@@ -103,8 +101,8 @@ TEST(FaultConfig, RejectsBadInput)
 // --- Delay-only fault campaign over the benchmark suite ----------------
 
 /** Benchmark apps x fault seeds, in CrossCheck mode: the runtime runs
- *  reference, event-driven, and sharded parallel circuits under the
- *  same FaultPlan and throws unless results, stats, and final global
+ *  reference, event-driven, and compiled circuits under the same
+ *  FaultPlan and throws unless results, stats, and final global
  *  memory are bit-identical; the host oracle then verifies the
  *  outputs. Delay-only faults must change neither. */
 class FaultCampaign
@@ -190,7 +188,7 @@ TEST(FaultEquivalence, FaultedOutputMatchesCleanInEveryMode)
     std::vector<int32_t> golden = runMix(clean);
     const sim::SchedulerMode modes[] = {
         sim::SchedulerMode::Reference, sim::SchedulerMode::EventDriven,
-        sim::SchedulerMode::Parallel};
+        sim::SchedulerMode::Compiled};
     for (sim::SchedulerMode mode : modes) {
         for (uint64_t seed : {1ull, 42ull, 0xBEEFull}) {
             sim::PlatformConfig plat;
@@ -466,59 +464,29 @@ class EnvParsing : public ::testing::Test
     }
 };
 
-TEST_F(EnvParsing, RejectsMalformedThreadCounts)
+TEST_F(EnvParsing, RejectsUnknownScheduler)
 {
-    ScopedEnv sched("SOFF_SCHEDULER", nullptr);
     ScopedEnv faults("SOFF_FAULTS", nullptr);
-    for (const char *bad :
-         {"abc", "0", "-3", "8x", "  4", "99999999999999999999"}) {
-        ScopedEnv threads("SOFF_THREADS", bad);
+    for (const char *bad : {"bogus", "parallel"}) {
+        ScopedEnv sched("SOFF_SCHEDULER", bad);
         try {
             launchTrivial();
-            FAIL() << "SOFF_THREADS='" << bad << "' must be rejected";
+            FAIL() << "SOFF_SCHEDULER='" << bad << "' must be rejected";
         } catch (const rt::OpenClError &e) {
             EXPECT_EQ(e.status(), ClStatus::InvalidValue) << bad;
-            EXPECT_NE(std::string(e.what()).find("SOFF_THREADS"),
-                      std::string::npos)
-                << e.what();
-            EXPECT_NE(std::string(e.what()).find("between 1 and 1024"),
+            EXPECT_NE(std::string(e.what()).find(
+                          "reference, event-driven, compiled, "
+                          "cross-check"),
                       std::string::npos)
                 << "the error must list the valid values: " << e.what();
         }
     }
 }
 
-TEST_F(EnvParsing, AcceptsValidThreadCount)
-{
-    ScopedEnv sched("SOFF_SCHEDULER", nullptr);
-    ScopedEnv faults("SOFF_FAULTS", nullptr);
-    ScopedEnv threads("SOFF_THREADS", "2");
-    EXPECT_NO_THROW(launchTrivial());
-}
-
-TEST_F(EnvParsing, RejectsUnknownScheduler)
-{
-    ScopedEnv faults("SOFF_FAULTS", nullptr);
-    ScopedEnv threads("SOFF_THREADS", nullptr);
-    ScopedEnv sched("SOFF_SCHEDULER", "bogus");
-    try {
-        launchTrivial();
-        FAIL() << "SOFF_SCHEDULER=bogus must be rejected";
-    } catch (const rt::OpenClError &e) {
-        EXPECT_EQ(e.status(), ClStatus::InvalidValue);
-        EXPECT_NE(std::string(e.what()).find(
-                      "reference, event-driven, parallel, compiled, "
-                      "cross-check"),
-                  std::string::npos)
-            << "the error must list the valid values: " << e.what();
-    }
-}
-
 TEST_F(EnvParsing, RejectsMalformedFaultPlans)
 {
     ScopedEnv sched("SOFF_SCHEDULER", nullptr);
-    ScopedEnv threads("SOFF_THREADS", nullptr);
-    for (const char *bad : {"xyz", "seed=", "wibble=3"}) {
+    for (const char *bad : {"xyz", "seed=", "wibble=3", "trip=5"}) {
         ScopedEnv faults("SOFF_FAULTS", bad);
         try {
             launchTrivial();
@@ -535,7 +503,6 @@ TEST_F(EnvParsing, RejectsMalformedFaultPlans)
 TEST_F(EnvParsing, AcceptsFaultSeedFromEnvironment)
 {
     ScopedEnv sched("SOFF_SCHEDULER", nullptr);
-    ScopedEnv threads("SOFF_THREADS", nullptr);
     ScopedEnv faults("SOFF_FAULTS", "42");
     EXPECT_NO_THROW(launchTrivial());
 }
@@ -598,37 +565,6 @@ TEST(ClStatusMapping, ApiErrorsCarryMatchingStatusCodes)
     } catch (const rt::OpenClError &e) {
         EXPECT_EQ(e.status(), ClStatus::InvalidValue);
     }
-}
-
-// --- Graceful degradation: Parallel falls back to Reference ------------
-
-TEST(GracefulDegradation, ParallelFaultRetriesOnReferenceScheduler)
-{
-    ScopedEnv sched("SOFF_SCHEDULER", nullptr);
-    ScopedEnv env_faults("SOFF_FAULTS", nullptr);
-    sim::PlatformConfig plat;
-    plat.scheduler = sim::SchedulerMode::Parallel;
-    plat.faults.seed = 1;
-    plat.faults.tripCycle = 200; // parallel-only injected failure
-    std::vector<int32_t> out = runMix(plat);
-    sim::PlatformConfig clean;
-    EXPECT_EQ(out, runMix(clean))
-        << "the reference-scheduler retry must produce the correct "
-           "result after the parallel scheduler trips";
-}
-
-TEST(GracefulDegradation, NonParallelTripStillSucceeds)
-{
-    // The trip knob only fires inside the parallel scheduler; other
-    // modes must be unaffected by it.
-    ScopedEnv sched("SOFF_SCHEDULER", nullptr);
-    ScopedEnv env_faults("SOFF_FAULTS", nullptr);
-    sim::PlatformConfig plat;
-    plat.scheduler = sim::SchedulerMode::EventDriven;
-    plat.faults.seed = 1;
-    plat.faults.tripCycle = 200;
-    sim::PlatformConfig clean;
-    EXPECT_EQ(runMix(plat), runMix(clean));
 }
 
 } // namespace

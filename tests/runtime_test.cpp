@@ -2,6 +2,7 @@
  *  argument validation, partial reconfiguration, command queues and
  *  events, the circuit-template pool, baselines, and the Table II
  *  compatibility rules. */
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <thread>
@@ -379,6 +380,50 @@ TEST(Context, OutOfBoundsAccessFailsTheLaunchNotTheProcess)
     std::vector<int32_t> out(64);
     ctx.readBuffer(buffer, out.data(), 256);
     EXPECT_EQ(out, std::vector<int32_t>(64, 7));
+}
+
+TEST(Context, OversizedBufferTransferIsInvalidValue)
+{
+    // A host transfer longer than its buffer is a user error, as on the
+    // queue path: CL_INVALID_VALUE before any byte moves, and the same
+    // context then runs a correct transfer and launch.
+    Context ctx;
+    Program program = ctx.buildProgram(kWildKernels);
+    Buffer buffer = ctx.createBuffer(256);
+    Buffer neighbour = ctx.createBuffer(256);
+    std::vector<int32_t> host(128, 5);
+    try {
+        ctx.writeBuffer(buffer, host.data(), 512);
+        ADD_FAILURE() << "an oversized writeBuffer must throw";
+    } catch (const OpenClError &e) {
+        EXPECT_EQ(e.status(), ClStatus::InvalidValue);
+    }
+    try {
+        ctx.readBuffer(buffer, host.data(), 512);
+        ADD_FAILURE() << "an oversized readBuffer must throw";
+    } catch (const OpenClError &e) {
+        EXPECT_EQ(e.status(), ClStatus::InvalidValue);
+    }
+    EXPECT_EQ(host, std::vector<int32_t>(128, 5))
+        << "the rejected read wrote into host memory";
+    std::vector<int32_t> spill(64, -1);
+    ctx.readBuffer(neighbour, spill.data(), 256);
+    EXPECT_EQ(spill, std::vector<int32_t>(64, 0))
+        << "the rejected write spilled into the next buffer";
+
+    ctx.writeBuffer(buffer, host.data(), 256);
+    KernelHandle kernel = program.createKernel("wild");
+    kernel.setArg(0, buffer);
+    kernel.setArg(1, int32_t{0});
+    sim::NDRange nd;
+    nd.globalSize[0] = 32;
+    nd.localSize[0] = 16;
+    ctx.enqueueNDRange(kernel, nd);
+    std::vector<int32_t> out(64);
+    ctx.readBuffer(buffer, out.data(), 256);
+    std::vector<int32_t> expect(64, 5);
+    std::fill(expect.begin(), expect.begin() + 32, 7);
+    EXPECT_EQ(out, expect);
 }
 
 // --- Command queues and events -------------------------------------------

@@ -1,12 +1,13 @@
-/** @file Scheduler-equivalence tests: the event-driven and sharded
- *  parallel kernels must be bit- and cycle-identical to the
- *  synchronous reference on every benchmark application (cross-check
- *  mode, at several worker-thread counts), detect deadlocks at the
- *  exact quiescence cycle, and honor timer wakeups across clock
- *  jumps. */
+/** @file Scheduler-equivalence tests: the event-driven and compiled
+ *  kernels must be bit- and cycle-identical to the synchronous
+ *  reference on every benchmark application (cross-check mode, with
+ *  compiled copies running beside it on other host threads), detect
+ *  deadlocks at the exact quiescence cycle, and honor timer wakeups
+ *  across clock jumps. */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <exception>
 #include <thread>
 #include <vector>
 
@@ -31,31 +32,91 @@ range1d(uint64_t global, uint64_t local)
 
 // --- Cross-check over the full benchmark suite -------------------------
 
-/** Every runnable application, executed in CrossCheck mode at a given
- *  parallel worker count: the runtime runs one circuit per scheduler
- *  (reference, event-driven, and sharded parallel, concurrently) and
- *  throws unless RunResult, CircuitStats, retired work-item counts,
- *  and final global memory are bit-identical — and unless parallel and
- *  event-driven agree on componentSteps. */
+/** Every runnable application, executed in CrossCheck mode: the
+ *  runtime runs one circuit per scheduler (reference, event-driven,
+ *  and compiled, concurrently) and throws unless RunResult,
+ *  CircuitStats, retired work-item counts, and final global memory are
+ *  bit-identical — and unless compiled and event-driven agree on
+ *  componentSteps. The `_t<N>` cases run it on N host threads at once
+ *  (1, 2, and hardware_concurrency()): beside the checked run, N-1
+ *  copies of the app run under the compiled scheduler, each on its own
+ *  context, and must verify and match the checked run's counters. A
+ *  simulation never depends on what else the process runs beside it,
+ *  which is what lets the launch pool run independent launches on
+ *  several cores. */
 class CrossCheckRun
     : public ::testing::TestWithParam<std::tuple<std::string, int>>
 {};
+
+/** What one thread's run of an application produced. */
+struct CopyOutcome
+{
+    bool verified = false;
+    std::exception_ptr error;
+    benchsuite::RunMetrics metrics;
+};
+
+std::string
+describe(const std::exception_ptr &error)
+{
+    try {
+        std::rethrow_exception(error);
+    } catch (const std::exception &e) {
+        return e.what();
+    } catch (...) {
+        return "unknown exception";
+    }
+}
 
 TEST_P(CrossCheckRun, AllSchedulersMatchReference)
 {
     const auto &[app_name, threads] = GetParam();
     const benchsuite::App *app = benchsuite::findApp(app_name);
     ASSERT_NE(app, nullptr);
-    benchsuite::BenchContext ctx(benchsuite::Engine::SoffSim);
-    sim::PlatformConfig platform;
-    platform.scheduler = sim::SchedulerMode::CrossCheck;
-    platform.threads = threads;
-    ctx.setPlatformConfig(platform);
-    if (app->expectInsufficientResources) {
-        EXPECT_THROW(benchsuite::runApp(*app, ctx), RuntimeError);
-        return;
+
+    std::vector<CopyOutcome> outcomes(threads);
+    auto run = [app](sim::SchedulerMode mode, CopyOutcome &out) {
+        try {
+            benchsuite::BenchContext ctx(benchsuite::Engine::SoffSim);
+            sim::PlatformConfig platform;
+            platform.scheduler = mode;
+            ctx.setPlatformConfig(platform);
+            out.verified = benchsuite::runApp(*app, ctx);
+            out.metrics = ctx.metrics();
+        } catch (...) {
+            out.error = std::current_exception();
+        }
+    };
+    std::vector<std::thread> copies;
+    for (int i = 1; i < threads; ++i) {
+        copies.emplace_back(run, sim::SchedulerMode::Compiled,
+                            std::ref(outcomes[i]));
     }
-    EXPECT_TRUE(benchsuite::runApp(*app, ctx)) << app->name;
+    run(sim::SchedulerMode::CrossCheck, outcomes[0]);
+    for (std::thread &t : copies)
+        t.join();
+
+    for (int i = 0; i < threads; ++i) {
+        const CopyOutcome &out = outcomes[i];
+        if (app->expectInsufficientResources) {
+            ASSERT_TRUE(out.error) << "thread " << i;
+            EXPECT_THROW(std::rethrow_exception(out.error), RuntimeError)
+                << "thread " << i;
+            continue;
+        }
+        ASSERT_FALSE(out.error) << "thread " << i << ": "
+                                << describe(out.error);
+        EXPECT_TRUE(out.verified) << app->name << " thread " << i;
+        const benchsuite::RunMetrics &m = out.metrics;
+        const benchsuite::RunMetrics &checked = outcomes[0].metrics;
+        EXPECT_EQ(m.cycles, checked.cycles) << "thread " << i;
+        EXPECT_EQ(m.componentSteps, checked.componentSteps)
+            << "thread " << i;
+        EXPECT_EQ(m.cyclesActive, checked.cyclesActive) << "thread " << i;
+        EXPECT_EQ(m.cacheHits, checked.cacheHits) << "thread " << i;
+        EXPECT_EQ(m.cacheMisses, checked.cacheMisses) << "thread " << i;
+        EXPECT_EQ(m.dramBytes, checked.dramBytes) << "thread " << i;
+    }
 }
 
 std::vector<std::string>
@@ -67,7 +128,7 @@ allAppNames()
     return names;
 }
 
-/** 1, 2, and hardware_concurrency() parallel workers, deduplicated. */
+/** 1, 2, and hardware_concurrency() host threads, deduplicated. */
 std::vector<int>
 threadCounts()
 {
@@ -96,22 +157,6 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
-
-/** The degenerate sharding case: a single datapath instance still
- *  yields two shards (shared + instance), exceeding a 1-thread worker
- *  budget, so the pool must degrade gracefully to serial phases. */
-TEST(CrossCheckDegenerate, OneInstanceMoreShardsThanThreads)
-{
-    const benchsuite::App *app = benchsuite::findApp("103.stencil");
-    ASSERT_NE(app, nullptr);
-    benchsuite::BenchContext ctx(benchsuite::Engine::SoffSim);
-    sim::PlatformConfig platform;
-    platform.scheduler = sim::SchedulerMode::CrossCheck;
-    platform.threads = 1;
-    ctx.setPlatformConfig(platform);
-    ctx.setInstanceOverride(1);
-    EXPECT_TRUE(benchsuite::runApp(*app, ctx));
-}
 
 // --- Compiled mode over the full suite, with and without faults --------
 
@@ -159,7 +204,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Randomized cross-mode equivalence on small kernels ----------------
 
-/** Runs one kernel launch under both schedulers from identical initial
+/** Runs one kernel launch under each scheduler from identical initial
  *  memory and compares cycle counts, stats, and output bytes. */
 class RandomizedEquivalence : public ::testing::TestWithParam<int>
 {};
@@ -181,16 +226,12 @@ TEST_P(RandomizedEquivalence, IdenticalCyclesStatsAndMemory)
     for (auto &v : a)
         v = static_cast<int32_t>(rng.next() % 1000);
 
-    rt::LaunchResult results[4];
-    std::vector<int32_t> out[4];
-    // The "mix" kernel uses atomic_add, so the parallel run exercises
-    // the collapsed single-shard fallback (a lock table shared across
-    // instances cannot be sharded).
-    const sim::SchedulerMode modes[4] = {sim::SchedulerMode::Reference,
+    rt::LaunchResult results[3];
+    std::vector<int32_t> out[3];
+    const sim::SchedulerMode modes[3] = {sim::SchedulerMode::Reference,
                                          sim::SchedulerMode::EventDriven,
-                                         sim::SchedulerMode::Parallel,
                                          sim::SchedulerMode::Compiled};
-    for (int m = 0; m < 4; ++m) {
+    for (int m = 0; m < 3; ++m) {
         rt::Context ctx;
         rt::Program prog = ctx.buildProgram(src);
         auto kernel = prog.createKernel("mix");
@@ -210,7 +251,7 @@ TEST_P(RandomizedEquivalence, IdenticalCyclesStatsAndMemory)
         out[m].resize(32);
         ctx.readBuffer(bb, out[m].data(), 32 * 4);
     }
-    for (int m = 1; m < 4; ++m) {
+    for (int m = 1; m < 3; ++m) {
         EXPECT_EQ(results[0].cycles, results[m].cycles) << m;
         EXPECT_EQ(results[0].stats.cacheHits,
                   results[m].stats.cacheHits) << m;
@@ -226,8 +267,7 @@ TEST_P(RandomizedEquivalence, IdenticalCyclesStatsAndMemory)
         EXPECT_LE(results[m].sched.componentSteps,
                   results[0].sched.componentSteps) << m;
     }
-    // The sharded scheduler's union of per-shard wake lists is
-    // cycle-for-cycle the event-driven wake list.
+    // The compiled plan sweeps exactly the event-driven wake set.
     EXPECT_EQ(results[1].sched.componentSteps,
               results[2].sched.componentSteps);
 }

@@ -1,17 +1,15 @@
 /** @file Observability-layer tests: the architectural StatsReport must
- *  be bit-identical across all three scheduler modes and worker-thread
- *  counts, the Chrome trace export must be structurally valid
+ *  be bit-identical across all three scheduler modes, the Chrome trace
+ *  export must be structurally valid
  *  trace-event JSON, the SOFF_STATS export must parse, event profiling
  *  timestamps must be monotonic, and the SOFF_TRACE window grammar must
  *  reject malformed values. */
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "benchsuite/suite.hpp"
@@ -309,21 +307,6 @@ launchSmall(const sim::PlatformConfig &platform, rt::Event *event = nullptr,
 
 // --- StatsReport bit-identity across schedulers ------------------------
 
-/** 1, 2, and hardware_concurrency() parallel workers, deduplicated. */
-std::vector<int>
-threadCounts()
-{
-    std::vector<int> counts = {
-        1, 2, static_cast<int>(std::thread::hardware_concurrency())};
-    std::sort(counts.begin(), counts.end());
-    counts.erase(std::unique(counts.begin(), counts.end()),
-                 counts.end());
-    counts.erase(std::remove_if(counts.begin(), counts.end(),
-                                [](int c) { return c < 1; }),
-                 counts.end());
-    return counts;
-}
-
 /** The first N runnable applications of Table II (IR apps excluded). */
 std::vector<std::string>
 statsAppNames()
@@ -340,13 +323,11 @@ statsAppNames()
 }
 
 std::vector<std::shared_ptr<const sim::StatsReport>>
-runForStats(const benchsuite::App &app, sim::SchedulerMode mode,
-            int threads)
+runForStats(const benchsuite::App &app, sim::SchedulerMode mode)
 {
     benchsuite::BenchContext ctx(benchsuite::Engine::SoffSim);
     sim::PlatformConfig platform;
     platform.scheduler = mode;
-    platform.threads = threads;
     ctx.setPlatformConfig(platform);
     EXPECT_TRUE(benchsuite::runApp(app, ctx)) << app.name;
     return ctx.metrics().statsReports;
@@ -355,29 +336,25 @@ runForStats(const benchsuite::App &app, sim::SchedulerMode mode,
 /** Every architectural counter — per-component busy/stall cycles and
  *  token counts, channel high-water marks, cache/DRAM/local counters,
  *  per-datapath retirement timing — must be bit-identical whichever
- *  simulation kernel produced it, at any worker-thread count. */
+ *  simulation kernel produced it. */
 class StatsIdentity : public ::testing::TestWithParam<std::string>
 {};
 
-TEST_P(StatsIdentity, BitIdenticalAcrossSchedulersAndThreads)
+TEST_P(StatsIdentity, BitIdenticalAcrossSchedulers)
 {
     const benchsuite::App *app = benchsuite::findApp(GetParam());
     ASSERT_NE(app, nullptr);
 
-    auto reference =
-        runForStats(*app, sim::SchedulerMode::Reference, 0);
+    auto reference = runForStats(*app, sim::SchedulerMode::Reference);
     ASSERT_FALSE(reference.empty()) << "no launches recorded";
 
     std::vector<std::pair<std::string, std::vector<
         std::shared_ptr<const sim::StatsReport>>>> others;
     others.emplace_back(
         "event-driven",
-        runForStats(*app, sim::SchedulerMode::EventDriven, 0));
-    for (int threads : threadCounts()) {
-        others.emplace_back(
-            "parallel x" + std::to_string(threads),
-            runForStats(*app, sim::SchedulerMode::Parallel, threads));
-    }
+        runForStats(*app, sim::SchedulerMode::EventDriven));
+    others.emplace_back("compiled",
+                        runForStats(*app, sim::SchedulerMode::Compiled));
 
     for (const auto &[label, reports] : others) {
         ASSERT_EQ(reports.size(), reference.size()) << label;
