@@ -378,17 +378,16 @@ BM_LevelizedSweep(benchmark::State &state)
 BENCHMARK(BM_LevelizedSweep)->Arg(16)->Arg(128);
 
 void
-runReplicaBench(benchmark::State &state, bool batch)
+BM_BatchedStep(benchmark::State &state)
 {
     // `lanes` identical pipeline chains on one simulator: same-kind
     // components land at the same level, so every (level, thunk)
-    // bucket holds `lanes` replicas — the shape the batched stepMany
-    // path is built for. `batch=false` is the per-entry ablation.
+    // bucket holds `lanes` replicas, and one stepMany call steps all
+    // awake replicas of a bucket.
     const int lanes = static_cast<int>(state.range(0));
     constexpr int kDepth = 16;
     constexpr uint64_t kTokens = 256;
     soff::sim::Simulator simulator(soff::sim::SchedulerMode::Compiled);
-    simulator.setBatchStep(batch);
     std::vector<ChainSink *> sinks;
     for (int lane = 0; lane < lanes; ++lane) {
         std::vector<soff::sim::Channel<uint64_t> *> links;
@@ -421,24 +420,7 @@ runReplicaBench(benchmark::State &state, bool batch)
                             static_cast<uint64_t>(kDepth) *
                             static_cast<uint64_t>(lanes));
 }
-
-void
-BM_BatchedStep(benchmark::State &state)
-{
-    // Wide buckets through the stepMany path: one indirect call steps
-    // all awake replicas of a (level, thunk) bucket.
-    runReplicaBench(state, /*batch=*/true);
-}
 BENCHMARK(BM_BatchedStep)->Arg(8)->Arg(64);
-
-void
-BM_PerEntryStep(benchmark::State &state)
-{
-    // Ablation: the same circuit with SOFF_BATCH_STEP=0 semantics —
-    // slot-at-a-time dispatch through the per-bucket step thunk.
-    runReplicaBench(state, /*batch=*/false);
-}
-BENCHMARK(BM_PerEntryStep)->Arg(8)->Arg(64);
 
 void
 BM_LaneWalk(benchmark::State &state)
@@ -616,12 +598,11 @@ class TokenSink : public soff::sim::Component
  * their live values inline, and the scheduler reuses its lists.
  */
 int
-runAllocGuard(soff::sim::SchedulerMode mode, bool batch = true)
+runAllocGuard(soff::sim::SchedulerMode mode)
 {
     using namespace soff::sim;
     constexpr uint64_t kTokens = 2048;
     Simulator simulator(mode);
-    simulator.setBatchStep(batch);
     auto *a = simulator.channel<WiToken>(2);
     auto *b = simulator.channel<WiToken>(4);
     simulator.add<TokenSource>(a, kTokens);
@@ -690,9 +671,9 @@ runAllocGuard(soff::sim::SchedulerMode mode, bool batch = true)
                      static_cast<unsigned long long>(kTokens));
         return 1;
     }
-    std::printf("alloc guard [%s%s]: 0 heap allocations across %llu "
+    std::printf("alloc guard [%s]: 0 heap allocations across %llu "
                 "steady-state cycles (%llu WiTokens moved)\n",
-                schedulerModeName(mode), batch ? "" : ", batch off",
+                schedulerModeName(mode),
                 static_cast<unsigned long long>(steady.cycles),
                 static_cast<unsigned long long>(kTokens));
     return 0;
@@ -832,15 +813,12 @@ int
 main(int argc, char **argv)
 {
     // The generic event-driven loop and the compiled specialized loop
-    // — batched and per-entry — must all run allocation-free in
-    // steady state (plans allocate only at build time), and so must a
-    // warmed cache's reset-and-flush cycle.
+    // must both run allocation-free in steady state (plans allocate
+    // only at build time), and so must a warmed cache's
+    // reset-and-flush cycle.
     int rc = runAllocGuard(soff::sim::SchedulerMode::EventDriven);
     if (rc == 0)
         rc = runAllocGuard(soff::sim::SchedulerMode::Compiled);
-    if (rc == 0)
-        rc = runAllocGuard(soff::sim::SchedulerMode::Compiled,
-                           /*batch=*/false);
     if (rc == 0)
         rc = runCacheAllocGuard();
     if (rc != 0)

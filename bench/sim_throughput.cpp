@@ -3,8 +3,8 @@
  * Host-side throughput of the simulation kernel itself: the same
  * applications executed under the synchronous reference scheduler, the
  * quiescence-aware event-driven scheduler, and the compiled scheduler
- * with batched replica stepping off and on (identical simulated cycles
- * by construction — see tests/sim_sched_test.cpp), comparing
+ * (identical simulated cycles by construction — see
+ * tests/sim_sched_test.cpp), comparing
  * wall-clock time, simulated-cycles-per-second, and component steps
  * avoided. A high-DRAM-latency configuration makes the memory-bound
  * applications idle-heavy, which is where quiescence tracking pays; a
@@ -46,13 +46,11 @@ struct Row
     Workload load;
     double refWallMs = 0.0;
     double evtWallMs = 0.0;
-    double cmpWallMs = 0.0; ///< Compiled, batched stepping OFF.
-    double batWallMs = 0.0; ///< Compiled, batched stepping ON (default).
+    double cmpWallMs = 0.0;
     uint64_t simCycles = 0;
     uint64_t refSteps = 0;
     uint64_t evtSteps = 0;
     uint64_t cmpSteps = 0;
-    uint64_t batSteps = 0;
     uint64_t evtCyclesActive = 0;
     int instances = 0;
     bool verified = false;
@@ -64,14 +62,13 @@ struct Row
  *  the compile happens outside the timed region). */
 double
 timedRun(const App &app, sim::SchedulerMode mode, const Workload &load,
-         benchsuite::RunMetrics &metrics, bool &verified, bool batch)
+         benchsuite::RunMetrics &metrics, bool &verified)
 {
     BenchContext ctx(Engine::SoffSim);
     sim::PlatformConfig platform;
     platform.scheduler = mode;
     platform.dramLatency = load.dramLatency;
     platform.dramCyclesPerLine = load.dramCyclesPerLine;
-    platform.batchStep = batch;
     ctx.setPlatformConfig(platform);
     ctx.build(app.source);
     auto start = std::chrono::steady_clock::now();
@@ -90,12 +87,12 @@ timedRun(const App &app, sim::SchedulerMode mode, const Workload &load,
 double
 bestTimedRun(const App &app, sim::SchedulerMode mode,
              const Workload &load, benchsuite::RunMetrics &metrics,
-             bool &verified, bool batch = true)
+             bool &verified)
 {
     constexpr int kReps = 3;
     double best = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
-        double ms = timedRun(app, mode, load, metrics, verified, batch);
+        double ms = timedRun(app, mode, load, metrics, verified);
         if (rep == 0 || ms < best)
             best = ms;
         if (!verified)
@@ -136,29 +133,23 @@ main()
     };
 
     std::printf("Simulation-kernel throughput: reference vs "
-                "event-driven vs compiled (specialized; bat = batched "
-                "replica stepping, cmp = batching off)\n");
-    std::printf("%-14s %-9s %5s %10s %10s %10s %10s %8s %8s %12s\n",
+                "event-driven vs compiled (specialized)\n");
+    std::printf("%-14s %-9s %5s %10s %10s %10s %8s %12s\n",
                 "Application", "config", "inst", "ref (ms)", "evt (ms)",
-                "cmp (ms)", "bat (ms)", "cmp spd", "bat spd",
-                "Mcyc/s bat");
+                "cmp (ms)", "cmp spd", "Mcyc/s cmp");
 
     std::vector<Row> rows;
     double max_speedup = 0.0;
     double compiled_speedup_log_sum = 0.0;
     int compiled_speedup_count = 0;
-    double batched_speedup_log_sum = 0.0;
-    int batched_speedup_count = 0;
     for (const Workload &load : workloads) {
         const App *app = benchsuite::findApp(load.app);
         SOFF_ASSERT(app != nullptr, "unknown bench app");
         Row row;
         row.load = load;
 
-        benchsuite::RunMetrics ref_metrics, evt_metrics, cmp_metrics,
-            bat_metrics;
-        bool ref_ok = false, evt_ok = false, cmp_ok = false,
-             bat_ok = false;
+        benchsuite::RunMetrics ref_metrics, evt_metrics, cmp_metrics;
+        bool ref_ok = false, evt_ok = false, cmp_ok = false;
         row.refWallMs = bestTimedRun(*app, sim::SchedulerMode::Reference,
                                      load, ref_metrics, ref_ok);
         row.evtWallMs =
@@ -166,23 +157,18 @@ main()
                          evt_metrics, evt_ok);
         row.cmpWallMs =
             bestTimedRun(*app, sim::SchedulerMode::Compiled, load,
-                         cmp_metrics, cmp_ok, /*batch=*/false);
-        row.batWallMs = bestTimedRun(*app, sim::SchedulerMode::Compiled,
-                                     load, bat_metrics, bat_ok);
-        // Both compiled variants sweep exactly the event-driven wake
-        // set, so their step counts must match it, not just the cycles.
+                         cmp_metrics, cmp_ok);
+        // The compiled plan sweeps exactly the event-driven wake set,
+        // so its step count must match it, not just the cycles.
         row.verified =
-            ref_ok && evt_ok && cmp_ok && bat_ok &&
+            ref_ok && evt_ok && cmp_ok &&
             ref_metrics.cycles == evt_metrics.cycles &&
             ref_metrics.cycles == cmp_metrics.cycles &&
-            ref_metrics.cycles == bat_metrics.cycles &&
-            cmp_metrics.componentSteps == evt_metrics.componentSteps &&
-            bat_metrics.componentSteps == evt_metrics.componentSteps;
+            cmp_metrics.componentSteps == evt_metrics.componentSteps;
         row.simCycles = evt_metrics.cycles;
         row.refSteps = ref_metrics.componentSteps;
         row.evtSteps = evt_metrics.componentSteps;
         row.cmpSteps = cmp_metrics.componentSteps;
-        row.batSteps = bat_metrics.componentSteps;
         row.evtCyclesActive = evt_metrics.cyclesActive;
         row.instances = evt_metrics.instances;
         row.evtMetrics = evt_metrics;
@@ -195,19 +181,12 @@ main()
             compiled_speedup_log_sum += std::log(cmp_speedup);
             ++compiled_speedup_count;
         }
-        double bat_speedup =
-            row.batWallMs > 0.0 ? row.evtWallMs / row.batWallMs : 0.0;
-        if (bat_speedup > 0.0) {
-            batched_speedup_log_sum += std::log(bat_speedup);
-            ++batched_speedup_count;
-        }
 
-        std::printf("%-14s %-9s %5d %10.2f %10.2f %10.2f %10.2f "
-                    "%7.2fx %7.2fx %12.2f%s\n",
+        std::printf("%-14s %-9s %5d %10.2f %10.2f %10.2f %7.2fx "
+                    "%12.2f%s\n",
                     load.app, load.config, row.instances, row.refWallMs,
-                    row.evtWallMs, row.cmpWallMs, row.batWallMs,
-                    cmp_speedup, bat_speedup,
-                    cyclesPerSec(row.simCycles, row.batWallMs) / 1e6,
+                    row.evtWallMs, row.cmpWallMs, cmp_speedup,
+                    cyclesPerSec(row.simCycles, row.cmpWallMs) / 1e6,
                     row.verified ? "" : "  [MISMATCH]");
 
         rows.push_back(row);
@@ -224,11 +203,6 @@ main()
                        compiled_speedup_count)
             : 0.0;
     w.field("compiledGeomean", compiled_geomean);
-    const double batched_geomean =
-        batched_speedup_count > 0
-            ? std::exp(batched_speedup_log_sum / batched_speedup_count)
-            : 0.0;
-    w.field("batchedGeomean", batched_geomean);
     w.key("rows").beginArray();
     for (const Row &r : rows) {
         w.beginObject();
@@ -239,22 +213,17 @@ main()
         w.field("refWallMs", r.refWallMs);
         w.field("evtWallMs", r.evtWallMs);
         w.field("cmpWallMs", r.cmpWallMs);
-        w.field("batWallMs", r.batWallMs);
         w.field("speedup",
                 r.evtWallMs > 0.0 ? r.refWallMs / r.evtWallMs : 0.0);
         w.field("speedupCompiledVsEvt",
                 r.cmpWallMs > 0.0 ? r.evtWallMs / r.cmpWallMs : 0.0);
-        w.field("speedupBatchedVsEvt",
-                r.batWallMs > 0.0 ? r.evtWallMs / r.batWallMs : 0.0);
         w.field("simCycles", r.simCycles);
         w.field("refCyclesPerSec", cyclesPerSec(r.simCycles, r.refWallMs));
         w.field("evtCyclesPerSec", cyclesPerSec(r.simCycles, r.evtWallMs));
         w.field("cmpCyclesPerSec", cyclesPerSec(r.simCycles, r.cmpWallMs));
-        w.field("batCyclesPerSec", cyclesPerSec(r.simCycles, r.batWallMs));
         w.field("refComponentSteps", r.refSteps);
         w.field("evtComponentSteps", r.evtSteps);
         w.field("cmpComponentSteps", r.cmpSteps);
-        w.field("batComponentSteps", r.batSteps);
         w.field("evtCyclesActive", r.evtCyclesActive);
         w.field("verified", r.verified);
 
@@ -291,9 +260,9 @@ main()
     for (const Row &r : rows)
         all_verified = all_verified && r.verified;
     std::printf("\nmax wall-clock speedup: %.2fx (event-driven vs "
-                "reference); compiled vs event-driven geomean %.2fx "
-                "(batching off), %.2fx (batched); results %s\n",
-                max_speedup, compiled_geomean, batched_geomean,
+                "reference); compiled vs event-driven geomean %.2fx; "
+                "results %s\n",
+                max_speedup, compiled_geomean,
                 all_verified ? "identical across schedulers"
                              : "MISMATCHED");
     return all_verified ? 0 : 1;

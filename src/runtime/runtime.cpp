@@ -373,46 +373,20 @@ parseTraceSpec(const char *text, sim::PlatformConfig &plat)
 
 /**
  * Environment overrides. SOFF_SCHEDULER selects the simulation kernel
- * by name ("reference", "event-driven", "compiled", "cross-check") —
- * applied only when the caller left the default (Compiled), so code
- * that explicitly pins a mode (tests, benchmark baselines, the
- * cross-check itself) is not affected. SOFF_SPECIALIZE=0 turns the
- * default Compiled scheduler back into plain EventDriven (and clears
- * PlatformConfig::specialize, a circuit-cache key field).
- * SOFF_BATCH_STEP=0 keeps the compiled plan but steps awake replicas
- * one at a time instead of batching whole (level, thunk) buckets
- * (PlatformConfig::batchStep, also a cache-key field). SOFF_FAULTS
- * installs a delay-only fault-injection plan (sim/fault.hpp grammar)
- * when the caller did not already configure one. SOFF_TRACE enables
- * the Chrome trace exporter and SOFF_STATS the structured StatsReport
- * export, each only when the caller did not already set a path.
+ * by name ("reference", "event-driven", "compiled", "cross-check")
+ * whenever the caller's config holds Compiled. That is the default, so
+ * a caller that pins Compiled cannot be told apart from one that left
+ * it and is overridden too; a caller that pins any other mode (tests,
+ * benchmark baselines, the cross-check itself) is not affected.
+ * SOFF_FAULTS installs a delay-only fault-injection plan
+ * (sim/fault.hpp grammar) when the caller did not already configure
+ * one. SOFF_TRACE enables the Chrome trace exporter and SOFF_STATS the
+ * structured StatsReport export, each only when the caller did not
+ * already set a path.
  */
 void
 applyEnvOverrides(sim::PlatformConfig &plat)
 {
-    // SOFF_SPECIALIZE=0 disables the compiled-circuit specialization
-    // pass: a default Compiled scheduler is demoted below.
-    {
-        const char *spec = std::getenv("SOFF_SPECIALIZE");
-        if (spec != nullptr && std::string(spec) == "0")
-            plat.specialize = false;
-    }
-    // SOFF_BATCH_STEP=0 turns off the batched replica stepping inside
-    // the compiled sweep (the plan itself stays on; the sweep steps
-    // one replica at a time — the ablation baseline). Strict parse
-    // like the other knobs: only "0" and "1" are meaningful.
-    {
-        const char *batch = std::getenv("SOFF_BATCH_STEP");
-        if (batch != nullptr && *batch != '\0') {
-            const std::string v(batch);
-            if (v == "0")
-                plat.batchStep = false;
-            else if (v != "1")
-                throw OpenClError(ClStatus::InvalidValue, strFormat(
-                    "invalid SOFF_BATCH_STEP '%s': expected 0 or 1",
-                    batch));
-        }
-    }
     if (plat.scheduler == sim::SchedulerMode::Compiled) {
         const char *name = std::getenv("SOFF_SCHEDULER");
         if (name != nullptr && *name != '\0') {
@@ -425,9 +399,6 @@ applyEnvOverrides(sim::PlatformConfig &plat)
             }
             plat.scheduler = mode;
         }
-        if (plat.scheduler == sim::SchedulerMode::Compiled &&
-            !plat.specialize)
-            plat.scheduler = sim::SchedulerMode::EventDriven;
     }
     if (!plat.faults.enabled() && !plat.faults.checkInvariants) {
         const char *faults = std::getenv("SOFF_FAULTS");
@@ -539,18 +510,9 @@ samePlatformStructure(const sim::PlatformConfig &a,
 {
     return a.dramLatency == b.dramLatency &&
            a.dramCyclesPerLine == b.dramCyclesPerLine &&
-           a.scheduler == b.scheduler && a.specialize == b.specialize &&
-           a.batchStep == b.batchStep &&
+           a.scheduler == b.scheduler &&
            a.memRespWindowOverride == b.memRespWindowOverride &&
            a.balanceFifoCap == b.balanceFifoCap;
-}
-
-/** SOFF_CIRCUIT_CACHE env knob: on unless explicitly set to "0". */
-bool
-circuitCacheEnabled()
-{
-    const char *v = std::getenv("SOFF_CIRCUIT_CACHE");
-    return v == nullptr || std::string(v) != "0";
 }
 
 /** SOFF_TEMPLATE_POOL env knob: per-key parked-template capacity. */
@@ -622,24 +584,20 @@ Program::storeCachedCircuit(const datapath::KernelPlan *plan,
         if (key.plan != plan || key.instances != instances ||
             !samePlatformStructure(key.platform, platform))
             continue;
-        while (key.parked.size() >= capacity && !key.parked.empty()) {
+        while (key.parked.size() >= capacity) {
             key.parked.pop_front(); // Evict least recently parked.
             ++poolStats_.evictions;
         }
-        if (capacity > 0) {
-            key.parked.push_back(std::move(circuit));
-            ++poolStats_.returns;
-        }
+        key.parked.push_back(std::move(circuit));
+        ++poolStats_.returns;
         return;
     }
     PoolKey key;
     key.plan = plan;
     key.instances = instances;
     key.platform = platform;
-    if (capacity > 0) {
-        key.parked.push_back(std::move(circuit));
-        ++poolStats_.returns;
-    }
+    key.parked.push_back(std::move(circuit));
+    ++poolStats_.returns;
     circuitPool_.push_back(std::move(key));
 }
 
@@ -754,11 +712,12 @@ Context::resolveLaunch(KernelHandle &kernel, const sim::NDRange &ndrange,
     // stay pool-eligible — the retry path depends on that ("re-run via
     // the template pool"), and the pool-checkout fault class needs a
     // pool to be injectable at all.
-    plan.cacheable = circuitCacheEnabled() && !plan.crosscheck &&
-                     plan.plat.tracePath.empty() &&
+    plan.cacheable = !plan.crosscheck && plan.plat.tracePath.empty() &&
                      !plan.plat.faults.perturbsTiming() &&
                      !plan.plat.faults.checkInvariants;
-    plan.poolCapacity = plan.cacheable ? templatePoolCapacity() : 0;
+    // Parsed on every simulated launch, cacheable or not, so a
+    // malformed value is rejected whatever else the launch enables.
+    plan.poolCapacity = templatePoolCapacity();
     // Reliability layer: the watchdog budget (queue options override
     // this after return), the deterministic fault ordinal, and the
     // buffer spans the retry path snapshots/restores.

@@ -435,7 +435,7 @@ class Program
      * parked circuit holds raw pointers into the plan's IR, which this
      * Program owns: parking it anywhere that can outlive the Program
      * would dangle. Launches with fault injection, tracing, or
-     * cross-check bypass the pool, as does SOFF_CIRCUIT_CACHE=0.
+     * cross-check bypass the pool.
      */
     struct PoolKey
     {
@@ -454,7 +454,8 @@ class Program
     std::unique_ptr<sim::KernelCircuit>
     takeCachedCircuit(const datapath::KernelPlan *plan, int instances,
                       const sim::PlatformConfig &platform);
-    /** Returns a template to the pool (evicts LRU when over capacity). */
+    /** Returns a template to the pool (evicts LRU when over
+     *  `capacity`, which is at least 1). */
     void storeCachedCircuit(const datapath::KernelPlan *plan,
                             int instances,
                             const sim::PlatformConfig &platform,

@@ -22,7 +22,6 @@ KernelCircuit::KernelCircuit(const datapath::KernelPlan &plan,
       dram_(platform.dramLatency, platform.dramCyclesPerLine)
 {
     SOFF_ASSERT(num_instances >= 1, "need at least one datapath");
-    sim_.setBatchStep(platform.batchStep);
     if (faultPlan_.config().perturbsTiming()) {
         // Installed before any channel is created, so every channel
         // picks up the plan; off means a null pointer and zero cost.

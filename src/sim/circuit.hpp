@@ -37,18 +37,6 @@ struct PlatformConfig
      *  degrades to plain EventDriven whenever a specialization
      *  precondition fails. */
     SchedulerMode scheduler = SchedulerMode::Compiled;
-    /** Allow the compiled-circuit specialization pass. When cleared
-     *  (SOFF_SPECIALIZE=0), the runtime demotes a default Compiled
-     *  scheduler back to plain EventDriven. Part of the circuit cache
-     *  key: a compiled plan rebinds channel dirty lists. */
-    bool specialize = true;
-    /** Batched replica stepping inside the compiled sweep: one
-     *  stepMany call per (level, thunk) bucket instead of stepping
-     *  awake replicas one at a time (SOFF_BATCH_STEP=0 opts out —
-     *  the observably identical ablation baseline). Part of the
-     *  circuit cache key: the simulator latches it before the first
-     *  run. */
-    bool batchStep = true;
     /** Delay-only fault injection (sim/fault.hpp); off by default. */
     FaultConfig faults;
     /** Test-only: force every load/store response window to this many

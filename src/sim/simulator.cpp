@@ -444,12 +444,9 @@ Simulator::runEventDriven(const bool *done, Cycle max_cycles)
         // machinery, and fused-channel commits fold commit + watcher
         // scheduling into one pass.
         scheduling_ = true;
-        if (plan_ != nullptr) {
-            gatherCompiled();
+        gatherWakes();
+        if (plan_ != nullptr)
             sweepActiveSegments();
-        } else {
-            gatherWakes();
-        }
         stepWakeList();
         commitDirtyChannels();
         if (plan_ != nullptr)
@@ -467,18 +464,40 @@ Simulator::runEventDriven(const bool *done, Cycle max_cycles)
 void
 Simulator::gatherWakes()
 {
+    // Next-list entries and due timers become this cycle's wake list.
+    // Under a compiled plan, wakes addressed to its members are
+    // rerouted into the plan's buckets instead: the member sweep then
+    // steps exactly the set the generic scheduler would have stepped,
+    // just in levelized order, and a component still steps at most
+    // once per cycle — the member flag is a set, like the wake-list
+    // flag it replaces.
+    CompiledPlan *plan = plan_.get();
     currentList_.swap(nextList_);
+    size_t out = 0;
     for (uint32_t index : currentList_) {
         uint8_t &flags = schedFlags_[index];
+        const uint32_t pos = memberPos(plan, index);
+        if (pos != CompiledPlan::kNoSegment) {
+            flags &= static_cast<uint8_t>(~kInNextList);
+            plan->wake(pos);
+            continue;
+        }
         flags = static_cast<uint8_t>((flags & ~kInNextList) |
                                      kInWakeList);
+        currentList_[out++] = index;
     }
+    currentList_.resize(out);
     while (!timerHeap_.empty() && timerHeap_.top().cycle == now_) {
         HeapEntry e = timerHeap_.top();
         timerHeap_.pop();
         if (pendingWake_[e.index] != e.cycle)
             continue; // stale
         pendingWake_[e.index] = kNoWake;
+        const uint32_t pos = memberPos(plan, e.index);
+        if (pos != CompiledPlan::kNoSegment) {
+            plan->wake(pos);
+            continue;
+        }
         uint8_t &flags = schedFlags_[e.index];
         if (!(flags & kInWakeList)) {
             flags |= kInWakeList;
@@ -524,37 +543,26 @@ Simulator::commitDirtyChannels()
               [](const ChannelBase *a, const ChannelBase *b) {
                   return a->index_ < b->index_;
               });
+    // Under a compiled plan, boundary-channel commits are the main
+    // wake source for its members in memory-heavy circuits; those
+    // wakes go straight into the plan's buckets instead of bouncing
+    // through scheduleIndexAt, the next list, and the gather-time
+    // reroute. Within-bucket order is unobservable (same level, no
+    // edges), so arriving in commit order instead of gather order
+    // cannot change results.
+    CompiledPlan *plan = plan_.get();
     const uint32_t *watchers = watcherIndices_.data();
-    if (plan_ != nullptr) {
-        // Compiled mode: boundary-channel commits are the main wake
-        // source for segment members in memory-heavy circuits. Route
-        // those wakes straight into the plan's buckets instead of
-        // bouncing them through scheduleIndexAt, the next list, and
-        // the gather-time reroute. Within-bucket order is unobservable
-        // (same level, no edges), so arriving in commit order instead
-        // of gather order cannot change results.
-        CompiledPlan &p = *plan_;
-        for (ChannelBase *ch : dirtyChannels_) {
-            if (ch->commit())
-                ++stats_.channelCommits;
-            const uint32_t *w = watchers + ch->watchOff_;
-            for (uint32_t k = 0; k < ch->watchCount_; ++k) {
-                uint32_t pos = p.compOrderPos[w[k]];
-                if (pos != CompiledPlan::kNoSegment)
-                    p.wake(pos);
-                else
-                    scheduleIndexAt(w[k], now_ + 1);
-            }
-        }
-        dirtyChannels_.clear();
-        return;
-    }
     for (ChannelBase *ch : dirtyChannels_) {
         if (ch->commit())
             ++stats_.channelCommits;
         const uint32_t *w = watchers + ch->watchOff_;
-        for (uint32_t k = 0; k < ch->watchCount_; ++k)
-            scheduleIndexAt(w[k], now_ + 1);
+        for (uint32_t k = 0; k < ch->watchCount_; ++k) {
+            const uint32_t pos = memberPos(plan, w[k]);
+            if (pos != CompiledPlan::kNoSegment)
+                plan->wake(pos);
+            else
+                scheduleIndexAt(w[k], now_ + 1);
+        }
     }
     dirtyChannels_.clear();
 }

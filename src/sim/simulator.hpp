@@ -364,18 +364,6 @@ class Simulator
     TraceSink *traceSink() const { return traceSink_; }
 
     /**
-     * Enables/disables the batched replica stepping path of the
-     * compiled plan (SOFF_BATCH_STEP; on by default). Off, the sweep
-     * steps awake members one position at a time through the hoisted
-     * bucket thunks — observably identical, kept as the ablation
-     * baseline and the knob's escape hatch. Must be set before the
-     * first run; it only affects how buckets are swept, not what the
-     * plan contains.
-     */
-    void setBatchStep(bool on) { batchStep_ = on; }
-    bool batchStep() const { return batchStep_; }
-
-    /**
      * The specialized execution plan SchedulerMode::Compiled built for
      * this circuit at its first run, or null — before the first run,
      * under every other mode, when a fault plan or trace sink forces
@@ -449,6 +437,16 @@ class Simulator
     /** Index-based core of scheduleAt (hot: commit wake sweeps). */
     void scheduleIndexAt(uint32_t index, Cycle cycle);
 
+    /** Sweep position of component `index` in `plan`, or kNoSegment
+     *  when the generic wake list steps it (every component when no
+     *  plan was built). */
+    static uint32_t
+    memberPos(const CompiledPlan *plan, uint32_t index)
+    {
+        return plan != nullptr ? plan->compOrderPos[index]
+                               : CompiledPlan::kNoSegment;
+    }
+
     /** Post-step stall-span accounting (both scheduler families). */
     void finishStep(const StepEntry &e);
 
@@ -460,9 +458,9 @@ class Simulator
      * and the stall-span accounting fused in. The loop body is
      * branch-light and monomorphic: the compiler sees T::step and
      * T::holdsWork at their single call sites and can vectorize or
-     * software-pipeline across replicas. Equivalent to the per-entry
-     * sweep + finishStep sequence by construction (same statements,
-     * same order per replica).
+     * software-pipeline across replicas. Equivalent to the generic
+     * stepWakeList + finishStep sequence by construction (same
+     * statements, same order per replica).
      */
     template <typename T>
     static void
@@ -496,10 +494,10 @@ class Simulator
     void commitDirtyChannels();
 
     // Compiled-mode specialization (sim/specialize.cpp). The plan is
-    // built once at finalize(); the per-cycle entry points replace
-    // gatherWakes and extend the commit phase for fused channels.
+    // built once at finalize(); gatherWakes and commitDirtyChannels
+    // route member wakes into it, the member sweep runs before the
+    // generic one, and fused channels commit after the generic ones.
     void buildCompiledPlan();
-    void gatherCompiled();
     void sweepActiveSegments();
     void commitSegmentChannels();
     void resetCompiledState();
@@ -532,7 +530,6 @@ class Simulator
     const FaultPlan *faultPlan_ = nullptr;
     const std::atomic<bool> *stopFlag_ = nullptr;
     TraceSink *traceSink_ = nullptr;
-    bool batchStep_ = true; ///< Batched bucket sweeps (setBatchStep).
 
     /** Specialized step plan (Compiled mode only; null = generic). */
     std::unique_ptr<CompiledPlan> plan_;

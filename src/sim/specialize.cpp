@@ -8,7 +8,6 @@
 #include <cstring>
 #include <map>
 #include <queue>
-#include <tuple>
 
 #include "sim/channel.hpp"
 #include "sim/simulator.hpp"
@@ -209,23 +208,16 @@ Simulator::buildCompiledPlan()
     // deterministic. A wake is then one store into its bucket's slot
     // range; no per-cycle sort of the wakes is ever needed.
     //
-    // The class key is the full thunk triple (step, holds, stepMany),
-    // not just the step pointer: the sweep hoists all three per
-    // bucket, so every member of a bucket must agree on all three.
-    // (Identical-code folding may merge the step thunks of two types
-    // whose holds/batched thunks differ — keying on the triple keeps
-    // such members in separate buckets.)
-    std::map<std::tuple<uintptr_t, uintptr_t, uintptr_t>, uint32_t>
-        fn_ids;
+    // The class key is the stepMany thunk, the only one the sweep
+    // calls. Identical-code folding can merge two types' thunks only
+    // when their bodies are byte-identical, so members that share a
+    // bucket through a folded thunk still step exactly as their own
+    // thunks would.
+    std::map<StepManyFn, uint32_t> fn_ids;
     std::vector<uint32_t> member_fn(count);
     for (uint32_t m = 0; m < count; ++m) {
-        const uint32_t idx = members[m];
-        auto key = std::make_tuple(
-            reinterpret_cast<uintptr_t>(steps_[idx].step),
-            reinterpret_cast<uintptr_t>(steps_[idx].holds),
-            reinterpret_cast<uintptr_t>(stepMany_[idx]));
         auto [it, inserted] = fn_ids.try_emplace(
-            key, static_cast<uint32_t>(fn_ids.size()));
+            stepMany_[members[m]], static_cast<uint32_t>(fn_ids.size()));
         member_fn[m] = it->second;
     }
     std::vector<uint32_t> by_key(count);
@@ -261,23 +253,18 @@ Simulator::buildCompiledPlan()
     plan->touched.reserve(n_buckets);
 
     // SoA dispatch lanes: the sweep's inner loop reads one component
-    // pointer per replica (laneComp) and the per-bucket thunks are
-    // hoisted into bucket-indexed lanes, so no StepEntry row is ever
-    // reloaded on the hot path. Every member of a bucket shares the
-    // thunk triple (the bucket key above), so the representative at
-    // bucketStart[b] speaks for the whole range.
+    // pointer per replica (laneComp) and the batched thunk is hoisted
+    // into a bucket-indexed lane, so no StepEntry row is ever reloaded
+    // on the hot path. Every member of a bucket shares the thunk (the
+    // bucket key above), so the representative at bucketStart[b]
+    // speaks for the whole range.
     plan->laneComp.resize(count);
     for (uint32_t pos = 0; pos < count; ++pos)
         plan->laneComp[pos] = components_[plan->stepOrder[pos]];
-    plan->bucketStep.resize(n_buckets);
-    plan->bucketHolds.resize(n_buckets);
     plan->bucketStepMany.resize(n_buckets);
-    for (uint32_t b = 0; b < n_buckets; ++b) {
-        const uint32_t rep = plan->stepOrder[plan->bucketStart[b]];
-        plan->bucketStep[b] = steps_[rep].step;
-        plan->bucketHolds[b] = steps_[rep].holds;
-        plan->bucketStepMany[b] = stepMany_[rep];
-    }
+    for (uint32_t b = 0; b < n_buckets; ++b)
+        plan->bucketStepMany[b] =
+            stepMany_[plan->stepOrder[plan->bucketStart[b]]];
     plan->batchScratch.resize(count);
 
     // --- 5. Rebind fused channels onto the plan's shared dirty list
@@ -312,53 +299,6 @@ Simulator::buildCompiledPlan()
 }
 
 void
-Simulator::gatherCompiled()
-{
-    // Generic gather, with one twist: wakes addressed to segment
-    // members are rerouted into the plan's buckets instead of the
-    // generic wake list. The sweep then steps exactly the set the
-    // generic scheduler would have stepped, just in levelized order,
-    // and a component still steps at most once per cycle — the member
-    // flag is a set, like the wake-list flag it replaces.
-    CompiledPlan &p = *plan_;
-    currentList_.swap(nextList_);
-    size_t out = 0;
-    for (uint32_t index : currentList_) {
-        uint8_t &flags = schedFlags_[index];
-        uint32_t pos = p.compOrderPos[index];
-        if (pos != CompiledPlan::kNoSegment) {
-            flags &= static_cast<uint8_t>(~kInNextList);
-            p.wake(pos);
-            continue;
-        }
-        flags = static_cast<uint8_t>((flags & ~kInNextList) |
-                                     kInWakeList);
-        currentList_[out++] = index;
-    }
-    currentList_.resize(out);
-    while (!timerHeap_.empty() && timerHeap_.top().cycle == now_) {
-        HeapEntry e = timerHeap_.top();
-        timerHeap_.pop();
-        if (pendingWake_[e.index] != e.cycle)
-            continue; // stale
-        pendingWake_[e.index] = kNoWake;
-        uint32_t pos = p.compOrderPos[e.index];
-        if (pos != CompiledPlan::kNoSegment) {
-            // Defensive: eligible kinds rarely request timer wakes,
-            // but rerouting (not dropping) keeps the step set exact.
-            p.wake(pos);
-            continue;
-        }
-        uint8_t &flags = schedFlags_[e.index];
-        if (!(flags & kInWakeList)) {
-            flags |= kInWakeList;
-            currentList_.push_back(e.index);
-        }
-    }
-    std::sort(currentList_.begin(), currentList_.end());
-}
-
-void
 Simulator::sweepActiveSegments()
 {
     CompiledPlan &p = *plan_;
@@ -372,61 +312,33 @@ Simulator::sweepActiveSegments()
     // cycles sort the touched bucket ids (a handful), dense cycles
     // just walk all buckets in id order.
     //
-    // Batched path (default): one stepManyBody<T> call per bucket
-    // steps every awake replica — the monomorphic step/holdsWork calls
-    // and the stall accounting are fused into one branch-light loop
-    // the compiler can pipeline across replicas. A full bucket is
-    // stepped straight off the laneComp span (no gather); a partial
-    // bucket gathers its awake lanes into the preallocated scratch
-    // first. The non-batched path (SOFF_BATCH_STEP=0) executes the
-    // same statements per replica through the hoisted bucket thunks,
-    // one position at a time — the ablation baseline.
+    // One stepManyBody<T> call per bucket steps every awake replica —
+    // the monomorphic step/holdsWork calls and the stall accounting
+    // are fused into one branch-light loop the compiler can pipeline
+    // across replicas. A full bucket is stepped straight off the
+    // laneComp span (no gather); a partial bucket gathers its awake
+    // lanes into the preallocated scratch first.
     const uint32_t *slots = p.slots.data();
     Component *const *lane = p.laneComp.data();
-    const bool batched = batchStep_;
     uint64_t stepped = 0;
     auto sweep_bucket = [&](uint32_t b) {
         const uint32_t base = p.bucketStart[b];
         const uint32_t len = p.bucketLen[b];
-        if (batched) {
-            StepManyFn fn = p.bucketStepMany[b];
-            if (len == p.bucketStart[b + 1] - base) {
-                // Dense bucket: every replica is awake. Position order
-                // equals component-index order here, and the wake
-                // flags clear in one contiguous wipe.
-                std::memset(&p.memberActive[base], 0, len);
-                fn(lane + base, len, now_);
-            } else {
-                Component **batch = p.batchScratch.data();
-                for (uint32_t i = 0; i < len; ++i) {
-                    const uint32_t pos = slots[base + i];
-                    p.memberActive[pos] = 0;
-                    batch[i] = lane[pos];
-                }
-                fn(batch, len, now_);
-            }
+        StepManyFn fn = p.bucketStepMany[b];
+        if (len == p.bucketStart[b + 1] - base) {
+            // Dense bucket: every replica is awake. Position order
+            // equals component-index order here, and the wake flags
+            // clear in one contiguous wipe.
+            std::memset(&p.memberActive[base], 0, len);
+            fn(lane + base, len, now_);
         } else {
-            StepFn step_fn = p.bucketStep[b];
-            HoldsFn holds_fn = p.bucketHolds[b];
+            Component **batch = p.batchScratch.data();
             for (uint32_t i = 0; i < len; ++i) {
                 const uint32_t pos = slots[base + i];
                 p.memberActive[pos] = 0;
-                Component *c = lane[pos];
-                ChannelBase::tlsStepPerf = &c->perf_;
-                step_fn(c, now_);
-                // finishStep, sans the StepEntry row (SoA lanes only).
-                PerfCounters &pc = c->perf_;
-                const bool moved = pc.lastMoveCycle == now_;
-                if (!moved && holds_fn(c)) {
-                    if (!pc.stallOpen) {
-                        pc.stallOpen = true;
-                        pc.stallStart = now_;
-                    }
-                } else if (pc.stallOpen) {
-                    pc.stallOpen = false;
-                    pc.stalledCycles += now_ - pc.stallStart;
-                }
+                batch[i] = lane[pos];
             }
+            fn(batch, len, now_);
         }
         p.bucketLen[b] = 0;
         stepped += len;

@@ -43,9 +43,8 @@
  *     position range, a *bucket*. A wake is one O(1) store into its
  *     bucket's slot range; the sweep visits the touched buckets in
  *     id order (sorting bucket ids, typically a handful, never the
- *     wakes themselves) and steps each bucket's wakes through one
- *     hoisted monomorphic step-function pointer in a tight loop over
- *     the SoA dispatch table. No generic wake-list flags, no
+ *     wakes themselves) and steps all of a bucket's wakes with one
+ *     call of its batched step thunk. No generic wake-list flags, no
  *     next-list churn, and no per-cycle O(n log n) wake sort at all.
  *
  * Global fallback: the plan is not built at all (Compiled degrades to
@@ -65,10 +64,6 @@ namespace soff::sim
 class ChannelBase;
 class Component;
 
-/** Monomorphic step thunk: steps one component. */
-using StepFn = void (*)(Component *, uint64_t);
-/** Monomorphic holds-work thunk (stall accounting). */
-using HoldsFn = bool (*)(const Component *);
 /** Batched step thunk: steps a whole (level, thunk) bucket's awake
  *  replicas in one call (see sweepActiveSegments). */
 using StepManyFn = void (*)(Component *const *, uint32_t, uint64_t);
@@ -107,10 +102,6 @@ struct CompiledPlan
     /** Position -> component pointer (the only per-replica lane the
      *  batched sweep touches). */
     std::vector<Component *> laneComp;
-    /** Bucket id -> hoisted monomorphic step thunk. */
-    std::vector<StepFn> bucketStep;
-    /** Bucket id -> hoisted holds-work thunk (stall accounting). */
-    std::vector<HoldsFn> bucketHolds;
     /** Bucket id -> batched step thunk (whole bucket in one call). */
     std::vector<StepManyFn> bucketStepMany;
     /** Preallocated gather buffer for sparse batched sweeps (size =

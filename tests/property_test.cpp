@@ -531,7 +531,7 @@ struct Observation
  * any channel is created (the real circuit builder's order).
  */
 Observation
-runLanes(sim::SchedulerMode mode, bool batch, uint64_t seed,
+runLanes(sim::SchedulerMode mode, uint64_t seed,
          const sim::FaultConfig *faults = nullptr)
 {
     constexpr int kLanes = 6;
@@ -539,7 +539,6 @@ runLanes(sim::SchedulerMode mode, bool batch, uint64_t seed,
     sim::FaultPlan plan(faults != nullptr ? *faults
                                           : sim::FaultConfig{});
     sim::Simulator simulator(mode);
-    simulator.setBatchStep(batch);
     // Mirror KernelCircuit: the plan is installed only when it
     // perturbs timing (a disabled config stays off entirely).
     if (faults != nullptr && plan.config().perturbsTiming())
@@ -708,23 +707,16 @@ TEST_P(CompiledSpecialization, BatchedStepMatchesPerReplica)
 {
     // The batched bucket sweep (one stepMany call over all awake
     // replicas of a (level, thunk) bucket) must be observably
-    // identical to the per-replica step sequence (SOFF_BATCH_STEP=0)
-    // and to the generic event-driven scheduler: same completion
-    // cycle, same delivered data, bit-identical channel and perf
-    // counters, and the exact same number of component steps (the
-    // wake sets match, not just the results).
+    // identical to the event-driven scheduler, which steps one awake
+    // replica per dispatch: same completion cycle, same delivered
+    // data, bit-identical channel and perf counters, and the exact
+    // same number of component steps (the wake sets match, not just
+    // the results).
     using compiled_spec::runLanes;
-    auto batched =
-        runLanes(sim::SchedulerMode::Compiled, true, GetParam());
-    auto serial =
-        runLanes(sim::SchedulerMode::Compiled, false, GetParam());
-    auto evt =
-        runLanes(sim::SchedulerMode::EventDriven, true, GetParam());
+    auto batched = runLanes(sim::SchedulerMode::Compiled, GetParam());
+    auto evt = runLanes(sim::SchedulerMode::EventDriven, GetParam());
     EXPECT_TRUE(batched.hadPlan);
-    EXPECT_TRUE(serial.hadPlan);
     EXPECT_FALSE(evt.hadPlan);
-    compiled_spec::expectSameObservation(batched, serial,
-                                         "batched vs per-replica");
     compiled_spec::expectSameObservation(batched, evt,
                                          "batched vs event-driven");
 }
@@ -734,24 +726,18 @@ TEST_P(CompiledSpecialization, BatchedStepFaultSeedsMatch)
     // Across fault seeds: seed 0 is a clean run (the plan builds and
     // the batched sweep is active); nonzero seeds install a fault
     // plan, which must force the exact generic fallback — no compiled
-    // plan at all — with results still identical across
-    // SOFF_BATCH_STEP=0/1 and EventDriven.
+    // plan at all — with results still identical to EventDriven.
     using compiled_spec::runLanes;
     for (uint64_t fault_seed : {uint64_t{0}, uint64_t{42},
                                 uint64_t{1337}}) {
         sim::FaultConfig cfg;
         cfg.seed = fault_seed;
-        auto batched = runLanes(sim::SchedulerMode::Compiled, true,
-                                GetParam(), &cfg);
-        auto serial = runLanes(sim::SchedulerMode::Compiled, false,
-                               GetParam(), &cfg);
-        auto evt = runLanes(sim::SchedulerMode::EventDriven, true,
-                            GetParam(), &cfg);
+        auto batched =
+            runLanes(sim::SchedulerMode::Compiled, GetParam(), &cfg);
+        auto evt =
+            runLanes(sim::SchedulerMode::EventDriven, GetParam(), &cfg);
         EXPECT_EQ(batched.hadPlan, fault_seed == 0)
             << "faults must force the generic fallback";
-        EXPECT_EQ(serial.hadPlan, fault_seed == 0);
-        compiled_spec::expectSameObservation(
-            batched, serial, "batched vs per-replica (faults)");
         compiled_spec::expectSameObservation(
             batched, evt, "batched vs event-driven (faults)");
     }

@@ -26,6 +26,8 @@
 #include "sim/fault.hpp"
 #include "support/error.hpp"
 
+#include "scoped_env.hpp"
+
 namespace soff::rt
 {
 namespace
@@ -148,32 +150,6 @@ measureVaddCycles()
     LaunchResult r = ctx.enqueueNDRange(v.kernel, nd);
     return r.cycles;
 }
-
-/** RAII save/restore of one environment variable. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        had_ = old != nullptr;
-        if (had_)
-            saved_ = old;
-        setenv(name, value, 1);
-    }
-    ~ScopedEnv()
-    {
-        if (had_)
-            setenv(name_, saved_.c_str(), 1);
-        else
-            unsetenv(name_);
-    }
-
-  private:
-    const char *name_;
-    bool had_ = false;
-    std::string saved_;
-};
 
 ClStatus
 statusOfFinish(CommandQueue &queue)

@@ -14,6 +14,8 @@
 #include "runtime/runtime.hpp"
 #include "support/error.hpp"
 
+#include "scoped_env.hpp"
+
 namespace soff::rt
 {
 namespace
@@ -204,6 +206,9 @@ TEST(CircuitCache, RelaunchMatchesColdBuild)
     // the later ones rearming the memoized circuit. Cold path: a fresh
     // context running only the final launch. Cycle counts, results,
     // and the full architectural StatsReport must be bit-identical.
+    // Timing faults bypass the pool by design, so SOFF_FAULTS is
+    // pinned off.
+    ScopedEnv faults("SOFF_FAULTS", nullptr);
     CacheLaunch warm = runLaunchLoop({{64, 1}, {128, 3}, {96, 2}});
     CacheLaunch cold = runLaunchLoop({{96, 2}});
     EXPECT_EQ(warm.cycles, cold.cycles);
@@ -221,7 +226,9 @@ TEST(CircuitCache, CacheDiesWithProgram)
     // the same source yields a fresh plan that may reuse the old
     // plan's address — a context-scoped cache would serve the stale
     // circuit (use-after-free). Two build/launch rounds in one context
-    // must behave exactly like two cold builds.
+    // must behave exactly like two cold builds. Timing faults would
+    // bypass the pool, so SOFF_FAULTS is pinned off.
+    ScopedEnv faults("SOFF_FAULTS", nullptr);
     Context ctx;
     sim::NDRange nd;
     nd.globalSize[0] = 64;
@@ -236,24 +243,6 @@ TEST(CircuitCache, CacheDiesWithProgram)
         EXPECT_EQ(program.circuitCacheSize(), 1u);
     } // ~Program drops the parked circuit with the plan it references.
     EXPECT_EQ(cycles[0], cycles[1]);
-}
-
-TEST(CircuitCache, EnvKnobDisablesCaching)
-{
-    setenv("SOFF_CIRCUIT_CACHE", "0", 1);
-    Context ctx;
-    Program program = ctx.buildProgram(kTwoKernels);
-    KernelHandle kernel = program.createKernel("a");
-    kernel.setArg(0, ctx.createBuffer(4096));
-    sim::NDRange nd;
-    nd.globalSize[0] = 64;
-    nd.localSize[0] = 16;
-    ctx.enqueueNDRange(kernel, nd);
-    ctx.enqueueNDRange(kernel, nd);
-    EXPECT_EQ(program.circuitCacheSize(), 0u);
-    unsetenv("SOFF_CIRCUIT_CACHE");
-    ctx.enqueueNDRange(kernel, nd);
-    EXPECT_EQ(program.circuitCacheSize(), 1u);
 }
 
 // --- Device thread-safety ------------------------------------------------
@@ -655,10 +644,12 @@ TEST(Queue, InOrderQueueChainsImplicitly)
 TEST(Queue, StrictEnvParsing)
 {
     // SOFF_QUEUE_WORKERS is parsed when the first queue creates the
-    // context's engine; SOFF_TEMPLATE_POOL at every cacheable enqueue.
-    // Malformed values are CL_INVALID_VALUE, never silently 0.
+    // context's engine; SOFF_TEMPLATE_POOL at every simulated enqueue,
+    // including one that bypasses the pool (a timing fault plan makes
+    // the second launch below uncacheable). Malformed values are
+    // CL_INVALID_VALUE, never silently 0.
     for (const char *bad : {"abc", "0", "-2", "3x", " 4", "99999"}) {
-        setenv("SOFF_QUEUE_WORKERS", bad, 1);
+        ScopedEnv env("SOFF_QUEUE_WORKERS", bad);
         Context ctx;
         try {
             CommandQueue queue(ctx);
@@ -667,30 +658,38 @@ TEST(Queue, StrictEnvParsing)
             EXPECT_EQ(e.status(), ClStatus::InvalidValue) << bad;
         }
     }
-    unsetenv("SOFF_QUEUE_WORKERS");
-    for (const char *bad : {"abc", "0", "-1", "2x", "9999"}) {
-        setenv("SOFF_TEMPLATE_POOL", bad, 1);
-        Context ctx;
-        Program program = ctx.buildProgram(kTwoKernels);
-        KernelHandle kernel = program.createKernel("a");
-        kernel.setArg(0, ctx.createBuffer(4096));
-        sim::NDRange nd;
-        nd.globalSize[0] = 64;
-        nd.localSize[0] = 16;
-        try {
-            ctx.enqueueNDRange(kernel, nd);
-            FAIL() << "SOFF_TEMPLATE_POOL='" << bad << "' must throw";
-        } catch (const OpenClError &e) {
-            EXPECT_EQ(e.status(), ClStatus::InvalidValue) << bad;
+    sim::PlatformConfig uncacheable;
+    uncacheable.faults.seed = 42;
+    for (const sim::PlatformConfig &platform :
+         {sim::PlatformConfig{}, uncacheable}) {
+        for (const char *bad : {"abc", "0", "-1", "2x", "9999"}) {
+            ScopedEnv env("SOFF_TEMPLATE_POOL", bad);
+            Context ctx;
+            Program program = ctx.buildProgram(kTwoKernels);
+            KernelHandle kernel = program.createKernel("a");
+            kernel.setArg(0, ctx.createBuffer(4096));
+            sim::NDRange nd;
+            nd.globalSize[0] = 64;
+            nd.localSize[0] = 16;
+            try {
+                ctx.enqueueNDRange(kernel, nd, ExecutionMode::Simulate,
+                                   platform);
+                FAIL() << "SOFF_TEMPLATE_POOL='" << bad
+                       << "' must throw (fault seed "
+                       << platform.faults.seed << ")";
+            } catch (const OpenClError &e) {
+                EXPECT_EQ(e.status(), ClStatus::InvalidValue) << bad;
+            }
         }
     }
-    unsetenv("SOFF_TEMPLATE_POOL");
 }
 
 // --- Circuit-template pool -----------------------------------------------
 
 TEST(TemplatePool, SerialLaunchLoopCounters)
 {
+    // Timing faults bypass the pool by design.
+    ScopedEnv faults("SOFF_FAULTS", nullptr);
     Context ctx;
     Program program = ctx.buildProgram(kTwoKernels);
     KernelHandle kernel = program.createKernel("a");
@@ -716,7 +715,9 @@ TEST(TemplatePool, ConcurrentCheckoutInvariants)
     // pool: checkouts that find the key empty are steals (a duplicate
     // template is built), returns beyond capacity evict. Exact counts
     // depend on interleaving; the accounting invariants do not.
-    setenv("SOFF_TEMPLATE_POOL", "1", 1);
+    // Timing faults bypass the pool by design.
+    ScopedEnv faults("SOFF_FAULTS", nullptr);
+    ScopedEnv pool("SOFF_TEMPLATE_POOL", "1");
     Context ctx;
     Program program = ctx.buildProgram(kTwoKernels);
     KernelHandle kernel = program.createKernel("b");
@@ -743,7 +744,6 @@ TEST(TemplatePool, ConcurrentCheckoutInvariants)
               program.circuitCacheSize())
         << "parked = returned - checked out (hits) - evicted";
     EXPECT_LE(program.circuitCacheSize(), 1u) << "capacity enforced";
-    unsetenv("SOFF_TEMPLATE_POOL");
 }
 
 TEST(TemplatePool, CapacityBoundsParkedTemplates)
@@ -752,7 +752,7 @@ TEST(TemplatePool, CapacityBoundsParkedTemplates)
     // template (checkout/return pairs never overlap serially); the
     // knob only matters under concurrency, but it must parse and the
     // pool must never exceed it.
-    setenv("SOFF_TEMPLATE_POOL", "2", 1);
+    ScopedEnv pool("SOFF_TEMPLATE_POOL", "2");
     Context ctx;
     Program program = ctx.buildProgram(kTwoKernels);
     KernelHandle kernel = program.createKernel("a");
@@ -763,7 +763,6 @@ TEST(TemplatePool, CapacityBoundsParkedTemplates)
     for (int i = 0; i < 4; ++i)
         ctx.enqueueNDRange(kernel, nd);
     EXPECT_LE(program.circuitCacheSize(), 2u);
-    unsetenv("SOFF_TEMPLATE_POOL");
 }
 
 // --- Compatibility rules (Table II machinery) ---------------------------

@@ -16,40 +16,12 @@
 #include "runtime/runtime.hpp"
 #include "sim/stats.hpp"
 
+#include "scoped_env.hpp"
+
 namespace soff
 {
 namespace
 {
-
-/** Sets (or clears, when value is nullptr) an environment variable for
- *  the current scope and restores the previous state on destruction. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        had_ = old != nullptr;
-        if (had_)
-            old_ = old;
-        if (value != nullptr)
-            setenv(name, value, 1);
-        else
-            unsetenv(name);
-    }
-    ~ScopedEnv()
-    {
-        if (had_)
-            setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string old_;
-    bool had_ = false;
-};
 
 /** Removes a file on scope exit (exports written by the tests). */
 class ScopedFile
