@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "baseline/interpreter.hpp"
@@ -23,6 +24,13 @@ namespace soff::rt
 Device::Device(datapath::FpgaSpec fpga, uint64_t global_mem_bytes)
     : fpga_(std::move(fpga)), memory_(global_mem_bytes)
 {
+    // The reserved null line plus at least one allocatable line.
+    if (global_mem_bytes < 128) {
+        throw OpenClError(ClStatus::InvalidValue, strFormat(
+            "device global memory of %llu bytes is below the 128-byte "
+            "minimum",
+            static_cast<unsigned long long>(global_mem_bytes)));
+    }
     // Address 0 is reserved (null); carve the rest as one free block.
     blocks_.push_back({64, global_mem_bytes - 64, false});
 }
@@ -30,6 +38,15 @@ Device::Device(datapath::FpgaSpec fpga, uint64_t global_mem_bytes)
 uint64_t
 Device::allocate(uint64_t bytes)
 {
+    if (bytes == 0) {
+        throw OpenClError(ClStatus::InvalidBufferSize,
+                          "zero-byte buffer allocation");
+    }
+    // Checked before rounding up, which would wrap near 2^64.
+    if (bytes > memory_.size()) {
+        throw OpenClError(ClStatus::MemObjectAllocationFailure,
+                          "device global memory exhausted");
+    }
     std::lock_guard<std::mutex> lock(mutex_);
     // 64-byte alignment keeps every scalar access within one cache line.
     uint64_t aligned = (bytes + 63) & ~63ull;
@@ -492,9 +509,10 @@ crossCheckCompare(const std::string &kernel, const char *mode,
         if (!diff.empty())
             fail("StatsReport: " + diff);
     }
-    if (!std::equal(ref.mem->data(), ref.mem->data() + ref.mem->size(),
-                    alt.mem->data(), alt.mem->data() + alt.mem->size()))
-        fail("final global memory contents differ");
+    if (std::optional<uint64_t> at = ref.mem->firstDifference(*alt.mem)) {
+        fail(strFormat("final global memory differs at address 0x%llx",
+                       static_cast<unsigned long long>(*at)));
+    }
 }
 
 /**
@@ -780,9 +798,10 @@ Context::runLaunchCore(const detail::CorePlan &cp, uint64_t *duration_ns,
     if (crosscheck) {
         // The three schedulers run concurrently: the reference and
         // compiled circuits each on a private copy of global memory
-        // (atomics and stores must not be applied twice), the
-        // event-driven circuit below on device memory — its effects
-        // are the ones the caller keeps.
+        // (atomics and stores must not be applied twice; a copy costs
+        // the written extent, not the whole memory), the event-driven
+        // circuit below on device memory — its effects are the ones
+        // the caller keeps.
         ref_memory = std::make_unique<memsys::GlobalMemory>(
             device_.globalMemory());
         comp_memory = std::make_unique<memsys::GlobalMemory>(

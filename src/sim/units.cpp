@@ -141,6 +141,7 @@ ComputeUnit::ComputeUnit(const std::string &name,
                          const ir::Instruction *inst, int latency,
                          const LaunchContext *launch)
     : Component(name), inst_(inst), latency_(latency), launch_(launch),
+      readsWorkItem_(inst->op() == ir::Opcode::WorkItemInfo),
       capacity_(static_cast<size_t>(latency) + 1)
 {}
 
@@ -212,11 +213,12 @@ ComputeUnit::stepBody(Cycle now)
     for (const OperandSlot &s : opPlan_)
         ops.push_back(s.src == OperandSlot::Src::Input ? flits[s.input].val
                                                        : s.value);
-    ir::WorkItemCtx ctx = launch_->ndrange.ctxOf(wi);
+    if (readsWorkItem_)
+        wiCtx_ = launch_->ndrange.ctxOf(wi);
     Flit result;
     result.wi = wi;
     if (!inst_->type()->isVoid())
-        result.val = ir::evalPure(inst_, ops, ctx);
+        result.val = ir::evalPure(inst_, ops, wiCtx_);
     pipe_.push_back({now + static_cast<Cycle>(latency_),
                      std::move(result)});
 }

@@ -161,6 +161,11 @@ class ComputeUnit : public Component
     const ir::Instruction *inst_;
     int latency_;
     const LaunchContext *launch_;
+    /** Only WorkItemInfo reads the work-item context, and decoding it
+     *  costs 64-bit divisions per dimension: other units never fill
+     *  wiCtx_, and evalPure never reads it for them. */
+    bool readsWorkItem_;
+    ir::WorkItemCtx wiCtx_;
     struct In
     {
         Channel<Flit> *ch;

@@ -28,6 +28,7 @@ clStatusName(ClStatus status)
         return "CL_INVALID_EVENT_WAIT_LIST";
       case ClStatus::InvalidEvent: return "CL_INVALID_EVENT";
       case ClStatus::InvalidOperation: return "CL_INVALID_OPERATION";
+      case ClStatus::InvalidBufferSize: return "CL_INVALID_BUFFER_SIZE";
       case ClStatus::SoffTransientFault: return "SOFF_TRANSIENT_FAULT";
       case ClStatus::SoffCommandCancelled:
         return "SOFF_COMMAND_CANCELLED";

@@ -57,6 +57,7 @@ enum class ClStatus : int
     InvalidEventWaitList = -57,
     InvalidEvent = -58,
     InvalidOperation = -59,
+    InvalidBufferSize = -61,
 
     // SOFF extension statuses (outside the cl.h range, like vendor
     // extensions): failure classes the reliability layer distinguishes

@@ -492,6 +492,31 @@ TEST(ClStatusMapping, ApiErrorsCarryMatchingStatusCodes)
         EXPECT_STREQ(e.statusName(),
                      "CL_MEM_OBJECT_ALLOCATION_FAILURE");
     }
+    // A size within 63 bytes of 2^64 must not wrap to a tiny block.
+    try {
+        ctx.createBuffer(~0ull);
+        FAIL();
+    } catch (const rt::OpenClError &e) {
+        EXPECT_EQ(e.status(), ClStatus::MemObjectAllocationFailure);
+    }
+    try {
+        ctx.createBuffer(0);
+        FAIL();
+    } catch (const rt::OpenClError &e) {
+        EXPECT_EQ(e.status(), ClStatus::InvalidBufferSize);
+        EXPECT_STREQ(e.statusName(), "CL_INVALID_BUFFER_SIZE");
+    }
+    try {
+        rt::Context tiny(datapath::FpgaSpec::arria10(), 16);
+        FAIL();
+    } catch (const rt::OpenClError &e) {
+        EXPECT_EQ(e.status(), ClStatus::InvalidValue);
+    }
+    // The rejected requests reserved nothing: the next two buffers are
+    // distinct.
+    rt::Buffer first = ctx.createBuffer(256);
+    rt::Buffer second = ctx.createBuffer(256);
+    EXPECT_NE(first.deviceAddress(), second.deviceAddress());
     rt::Program program = ctx.buildProgram(
         "__kernel void t(__global int *X, int v) "
         "{ X[get_global_id(0)] = v; }");

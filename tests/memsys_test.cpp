@@ -1,13 +1,18 @@
-/** @file Unit tests for the memory subsystem: caches (hits, misses,
- *  write-back with byte-dirty merging, flush contents and timing at
- *  several line sizes, atomics), the round-robin arbiter's response
- *  routing, local memory banking, and lock tables. */
+/** @file Unit tests for the memory subsystem: demand-zero global
+ *  memory (zero reads, written extent, copies, first difference),
+ *  caches (hits, misses, write-back with byte-dirty merging, flush
+ *  contents and timing at several line sizes, atomics), the
+ *  round-robin arbiter's response routing, local memory banking, and
+ *  lock tables. */
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "memsys/arbiter.hpp"
 #include "memsys/cache.hpp"
+#include "memsys/global_memory.hpp"
 #include "memsys/local_block.hpp"
 #include "memsys/locks.hpp"
 
@@ -82,6 +87,102 @@ storeReq(uint64_t addr, uint64_t data, uint32_t size = 4)
     req.data = data;
     return req;
 }
+
+// --- Global memory ------------------------------------------------------
+
+TEST(GlobalMemory, FreshMemoryReadsZero)
+{
+    GlobalMemory memory(1 << 20);
+    EXPECT_EQ(memory.readScalar(1, 1), 0u);
+    EXPECT_EQ(memory.readScalar(memory.size() / 2, 8), 0u);
+    EXPECT_EQ(memory.readScalar(memory.size() - 8, 8), 0u);
+    EXPECT_EQ(memory.extent(), 0u);
+}
+
+TEST(GlobalMemory, OnlyWritesRaiseTheExtent)
+{
+    GlobalMemory memory(1 << 16);
+    memory.writeScalar(100, 4, 7);
+    EXPECT_EQ(memory.extent(), 104u);
+    std::vector<uint8_t> block(32, 0xab);
+    memory.writeBlock(1000, 32, block.data());
+    EXPECT_EQ(memory.extent(), 1032u);
+    memory.writeScalar(64, 8, 1);
+    EXPECT_EQ(memory.extent(), 1032u) << "a lower write keeps the extent";
+
+    EXPECT_EQ(memory.readScalar(5000, 8), 0u);
+    memory.readBlock(6000, 32, block.data());
+    EXPECT_EQ(memory.extent(), 1032u) << "reads leave the extent";
+    EXPECT_THROW(memory.writeScalar(memory.size() - 4, 8, 1), MemoryFault);
+    EXPECT_THROW(memory.writeScalar(0, 4, 1), MemoryFault);
+    EXPECT_THROW(memory.writeBlock(memory.size() - 16, 32, block.data()),
+                 MemoryFault);
+    EXPECT_EQ(memory.extent(), 1032u) << "faulting writes leave the extent";
+}
+
+TEST(GlobalMemory, CopyMatchesByteForByte)
+{
+    GlobalMemory memory(1 << 16);
+    memory.writeScalar(64, 4, 0xdeadbeef);
+    memory.writeScalar(memory.size() - 8, 8, 0x0123456789abcdefull);
+    GlobalMemory copy(memory);
+    ASSERT_EQ(copy.size(), memory.size());
+    EXPECT_EQ(copy.extent(), memory.extent());
+    std::vector<uint8_t> a(memory.size()), b(memory.size());
+    memory.readBlock(0, static_cast<uint32_t>(a.size()), a.data());
+    copy.readBlock(0, static_cast<uint32_t>(b.size()), b.data());
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(copy.readScalar(memory.size() - 8, 8), 0x0123456789abcdefull);
+    EXPECT_EQ(memory.firstDifference(copy), std::nullopt);
+
+    copy.writeScalar(5000, 1, 1);
+    EXPECT_EQ(memory.firstDifference(copy), std::optional<uint64_t>(5000));
+}
+
+TEST(GlobalMemory, FirstDifferenceLooksPastTheShorterExtent)
+{
+    GlobalMemory a(1 << 16), b(1 << 16);
+    a.writeScalar(64, 4, 5);
+    b.writeScalar(64, 4, 5);
+    b.writeScalar(40000, 1, 9);
+    ASSERT_LT(a.extent(), 40000u);
+    EXPECT_EQ(a.firstDifference(b), std::optional<uint64_t>(40000));
+    EXPECT_EQ(b.firstDifference(a), std::optional<uint64_t>(40000));
+}
+
+TEST(GlobalMemory, WrittenZerosPastTheOtherExtentAreNoDifference)
+{
+    GlobalMemory a(1 << 16), b(1 << 16);
+    a.writeScalar(64, 4, 5);
+    b.writeScalar(64, 4, 5);
+    std::vector<uint8_t> zeros(1000, 0);
+    b.writeBlock(30000, static_cast<uint32_t>(zeros.size()), zeros.data());
+    ASSERT_GT(b.extent(), a.extent());
+    EXPECT_EQ(a.firstDifference(b), std::nullopt);
+    EXPECT_EQ(b.firstDifference(a), std::nullopt);
+}
+
+TEST(GlobalMemory, ConcurrentWritersLeaveTheHighestExtent)
+{
+    // Launch workers write disjoint buffers of one device memory.
+    constexpr uint64_t kSlice = 1 << 14;
+    GlobalMemory memory(1 << 20);
+    std::vector<std::thread> writers;
+    for (uint64_t t = 0; t < 4; ++t) {
+        writers.emplace_back([&memory, t] {
+            uint64_t base = 64 + t * kSlice;
+            for (uint64_t off = 0; off < kSlice; off += 8)
+                memory.writeScalar(base + off, 8, base + off);
+        });
+    }
+    for (std::thread &w : writers)
+        w.join();
+    EXPECT_EQ(memory.extent(), 64 + 4 * kSlice);
+    for (uint64_t addr = 64; addr < 64 + 4 * kSlice; addr += 8)
+        ASSERT_EQ(memory.readScalar(addr, 8), addr);
+}
+
+// --- Cache --------------------------------------------------------------
 
 TEST(Cache, MissThenHit)
 {

@@ -5,7 +5,11 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdlib>
+#include <fstream>
 #include <thread>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -100,6 +104,60 @@ TEST(KernelHandle, ArgumentValidation)
         << "arg 1 never set";
     kernel.setArg(1, int32_t{9});
     EXPECT_NO_THROW(ctx.enqueueNDRange(kernel, nd));
+}
+
+/** This process's resident set in bytes, or -1 if /proc/self/statm
+ *  cannot be read. */
+long long
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    long long size = 0, resident = 0;
+    if (!(statm >> size >> resident))
+        return -1;
+    return resident * sysconf(_SC_PAGESIZE);
+}
+
+/** Whether a large calloc leaves its pages untouched. ThreadSanitizer's
+ *  calloc zero-fills every byte, so there resident memory cannot show
+ *  demand-zero storage. */
+bool
+callocLeavesPagesUntouched()
+{
+    long long before = residentBytes();
+    void *volatile probe = std::calloc(64 << 20, 1);
+    long long grown = residentBytes() - before;
+    std::free(probe);
+    return grown < (32ll << 20);
+}
+
+TEST(Context, OpenAndLaunchTouchLittleDeviceMemory)
+{
+    // Device memory is demand-zero: a default 256 MiB context and one
+    // write -> launch -> read chain fault in only the pages they use.
+    long long before = residentBytes();
+    if (before < 0)
+        GTEST_SKIP() << "/proc/self/statm is unreadable";
+    if (!callocLeavesPagesUntouched())
+        GTEST_SKIP() << "calloc zero-fills its pages in this build";
+    before = residentBytes();
+    Context ctx;
+    Program program = ctx.buildProgram(kTwoKernels);
+    KernelHandle kernel = program.createKernel("b");
+    std::vector<int32_t> data(256, -1);
+    Buffer buffer = ctx.createBuffer(data.size() * 4);
+    ctx.writeBuffer(buffer, data.data(), data.size() * 4);
+    kernel.setArg(0, buffer);
+    kernel.setArg(1, int32_t{3});
+    sim::NDRange nd;
+    nd.globalSize[0] = 256;
+    nd.localSize[0] = 64;
+    ctx.enqueueNDRange(kernel, nd);
+    ctx.readBuffer(buffer, data.data(), data.size() * 4);
+    EXPECT_EQ(data, std::vector<int32_t>(256, 3));
+    long long grown = residentBytes() - before;
+    EXPECT_LT(grown, 32ll << 20)
+        << "resident memory grew by " << (grown >> 20) << " MiB";
 }
 
 TEST(Context, RejectsIndivisibleNDRange)
