@@ -111,10 +111,10 @@ struct EventState
     /** The producing command (cancellation reaches it through the
      *  event handle); empty for user events. */
     std::weak_ptr<Command> command;
-    /** The producing queue — for the swallowed-callback counter; null
-     *  for user events. Valid while the command is unretired (the
-     *  queue outlives its pending commands' retirement). */
-    CommandQueue *ownerQueue = nullptr;
+    /** The producing queue's swallowed-callback counter; null for
+     *  user events. Shared, so a callback registered after the queue
+     *  is gone still counts somewhere valid. */
+    std::shared_ptr<std::atomic<uint64_t>> callbackExceptions;
 };
 
 /** One enqueued command (launch or DMA transfer). */
@@ -225,6 +225,14 @@ class LaunchEngine
      */
     static bool completeEvent(const std::shared_ptr<EventState> &state,
                               std::exception_ptr error);
+
+    /**
+     * Runs one user callback. A throw is swallowed and counted in
+     * `exceptions` (when non-null): a host bug in a callback must not
+     * kill the retirer that runs it, nor escape onComplete().
+     */
+    static void runCallback(const std::function<void()> &fn,
+                            std::atomic<uint64_t> *exceptions);
 
     /**
      * Registers `cmd` on its wait list and releases the enqueue guard;

@@ -262,7 +262,7 @@ LaunchEngine::completeEvent(const std::shared_ptr<EventState> &state,
 {
     std::vector<std::function<void()>> callbacks;
     std::vector<std::shared_ptr<Command>> dependents;
-    CommandQueue *owner = nullptr;
+    std::shared_ptr<std::atomic<uint64_t>> exceptions;
     {
         std::lock_guard<std::mutex> lock(state->m);
         // The already-complete check and the Complete transition are
@@ -276,21 +276,14 @@ LaunchEngine::completeEvent(const std::shared_ptr<EventState> &state,
         state->errStatus = statusOf(error);
         callbacks.swap(state->callbacks);
         dependents.swap(state->dependents);
-        owner = state->ownerQueue;
+        exceptions = state->callbackExceptions;
     }
     state->cv.notify_all();
-    for (const std::function<void()> &fn : callbacks) {
-        // Exception safety: a throwing user callback must not wedge
-        // the single-retirer drain loop (the retirer would die with
-        // `retiring_` latched and finish() would hang forever) —
-        // swallow and record.
-        try {
-            fn();
-        } catch (...) {
-            if (owner != nullptr)
-                owner->callbackExceptions_.fetch_add(1);
-        }
-    }
+    // A throwing callback must not wedge the single-retirer drain loop
+    // (the retirer would die with `retiring_` latched and finish()
+    // would hang forever).
+    for (const std::function<void()> &fn : callbacks)
+        runCallback(fn, exceptions.get());
     for (const std::shared_ptr<Command> &d : dependents) {
         if (error != nullptr)
             d->depFailed.store(true, std::memory_order_release);
@@ -300,6 +293,18 @@ LaunchEngine::completeEvent(const std::shared_ptr<EventState> &state,
             d->queue->engine_->submit(d);
     }
     return false;
+}
+
+void
+LaunchEngine::runCallback(const std::function<void()> &fn,
+                          std::atomic<uint64_t> *exceptions)
+{
+    try {
+        fn();
+    } catch (...) {
+        if (exceptions != nullptr)
+            exceptions->fetch_add(1);
+    }
 }
 
 void
@@ -470,14 +475,18 @@ Event::onComplete(std::function<void()> fn) const
         throw OpenClError(ClStatus::InvalidEvent,
                           "event is not attached to any command");
     }
+    std::shared_ptr<std::atomic<uint64_t>> exceptions;
     {
         std::lock_guard<std::mutex> lock(state_->m);
         if (state_->status != CommandStatus::Complete) {
             state_->callbacks.push_back(std::move(fn));
             return;
         }
+        exceptions = state_->callbackExceptions;
     }
-    fn(); // Already complete: run on the calling thread.
+    // Already complete: run on the calling thread, swallowed and
+    // counted like a callback the drain runs.
+    detail::LaunchEngine::runCallback(fn, exceptions.get());
 }
 
 void
@@ -733,7 +742,7 @@ CommandQueue::enqueueCommand(std::shared_ptr<detail::Command> cmd,
     cmd->queue = this;
     cmd->event = std::make_shared<detail::EventState>();
     cmd->event->command = cmd;     // Cancellation back-pointer.
-    cmd->event->ownerQueue = this; // Swallowed-callback accounting.
+    cmd->event->callbackExceptions = callbackExceptions_;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         cmd->seq = nextSeq_++;
@@ -861,7 +870,7 @@ CommandQueue::reliabilityStats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ReliabilityStats s = rstats_;
-    s.callbackExceptions = callbackExceptions_.load();
+    s.callbackExceptions = callbackExceptions_->load();
     return s;
 }
 

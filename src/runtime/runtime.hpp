@@ -279,7 +279,9 @@ class Event
      * clSetEventCallback(CL_COMPLETE): runs `fn` when the event
      * completes (immediately, on the calling thread, if it already
      * has). Queue callbacks run on the retiring worker thread, in
-     * retirement order — i.e. enqueue order per queue.
+     * retirement order — i.e. enqueue order per queue. On either path
+     * a throw from `fn` is swallowed and counted in the producing
+     * queue's ReliabilityStats::callbackExceptions.
      */
     void onComplete(std::function<void()> fn) const;
 
@@ -657,8 +659,10 @@ class CommandQueue
     std::exception_ptr firstError_;
     /** Reliability counters, folded in at retirement (under mutex_). */
     ReliabilityStats rstats_;
-    /** Swallowed user-callback exceptions (completeEvent, any thread). */
-    std::atomic<uint64_t> callbackExceptions_{0};
+    /** Swallowed user-callback exceptions (any thread); shared with
+     *  this queue's events, which may outlive it. */
+    std::shared_ptr<std::atomic<uint64_t>> callbackExceptions_ =
+        std::make_shared<std::atomic<uint64_t>>(0);
 };
 
 /** The context (simplified cl_context) plus a serial in-order enqueue
