@@ -33,114 +33,26 @@
  * fixed defaults; locally the full grid takes minutes, and larger
  * chain counts turn it into an hours-long burn-in.
  */
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <map>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "runtime/runtime.hpp"
-#include "support/error.hpp"
+#include "launch_chains.hpp"
 #include "support/json.hpp"
 
 using namespace soff;
 using namespace soff::rt;
+using namespace launch_chains;
 
 namespace
 {
 
-const char *kKernels = R"CL(
-__kernel void vadd(__global float* A, __global float* B,
-                   __global float* C) {
-  int g = get_global_id(0);
-  C[g] = A[g] + B[g];
-}
-__kernel void saxpy(__global float* X, __global float* Y, float a) {
-  int g = get_global_id(0);
-  Y[g] = a * X[g] + Y[g];
-}
-__kernel void smooth(__global float* A, __global float* B, int iters) {
-  __local float tile[16];
-  int l = get_local_id(0);
-  int g = get_global_id(0);
-  tile[l] = A[g];
-  for (int t = 0; t < iters; t++) {
-    barrier(CLK_LOCAL_MEM_FENCE);
-    float left = tile[l == 0 ? 0 : l - 1];
-    float right = tile[l == 15 ? 15 : l + 1];
-    barrier(CLK_LOCAL_MEM_FENCE);
-    tile[l] = 0.5f * tile[l] + 0.25f * (left + right);
-  }
-  B[g] = tile[l];
-}
-__kernel void histo(__global int* A, __global int* H) {
-  int g = get_global_id(0);
-  atomic_add(&H[A[g] & 15], 1);
-}
-__kernel void stencil(__global float* A, __global float* C, int n) {
-  int g = get_global_id(0);
-  float left = g == 0 ? A[0] : A[g - 1];
-  float right = g == n - 1 ? A[n - 1] : A[g + 1];
-  C[g] = 0.25f * left + 0.5f * A[g] + 0.25f * right;
-}
-__kernel void reduce(__global float* A, __global float* R, int lsz) {
-  __local float sc[32];
-  int l = get_local_id(0);
-  sc[l] = A[get_global_id(0)];
-  barrier(CLK_LOCAL_MEM_FENCE);
-  if (l == 0) {
-    float s = 0.0f;
-    for (int i = 0; i < lsz; i++) s += sc[i];
-    R[get_group_id(0)] = s;
-  }
-}
-)CL";
-
-constexpr int kNumApps = 6;
-const char *kAppNames[kNumApps] = {"vadd",  "saxpy",   "smooth",
-                                   "histo", "stencil", "reduce"};
-constexpr uint64_t kSlotBytes = 64 * 4;
 constexpr size_t kSlots = 16;
 
-/** One kernel variant; inputs are a pure function of the id. */
-struct Variant
-{
-    int app = 0;
-    uint32_t n = 0;
-    uint32_t local = 0;
-    int32_t scalar = 0;
-    int id = 0;
-
-    uint64_t
-    outBytes() const
-    {
-        if (app == 3)
-            return 16 * 4;
-        if (app == 5)
-            return n / local * 4;
-        return n * 4;
-    }
-};
-
-float
-inputA(int variant, uint32_t i)
-{
-    return static_cast<float>(
-               (static_cast<uint32_t>(variant) * 7 + i) % 13) *
-           0.5f;
-}
-
-float
-inputB(int variant, uint32_t i)
-{
-    return static_cast<float>(
-               (static_cast<uint32_t>(variant) * 3 + i) % 9) *
-           0.25f;
-}
-
+/** 18 variants: every kernel at three sizes, one scalar each. */
 std::vector<Variant>
 makeVariants()
 {
@@ -185,150 +97,6 @@ makeSchedule(uint64_t seed, size_t chains, size_t num_variants)
         schedule.push_back(static_cast<int>((s >> 33) % num_variants));
     }
     return schedule;
-}
-
-struct VariantInputs
-{
-    std::vector<float> a;
-    std::vector<float> b;
-    std::vector<int32_t> ints;
-    std::vector<int32_t> zeros;
-};
-
-std::vector<VariantInputs>
-makeInputs(const std::vector<Variant> &variants)
-{
-    std::vector<VariantInputs> inputs(variants.size());
-    for (const Variant &v : variants) {
-        VariantInputs &in = inputs[static_cast<size_t>(v.id)];
-        in.a.resize(v.n);
-        in.b.resize(v.n);
-        for (uint32_t i = 0; i < v.n; ++i) {
-            in.a[i] = inputA(v.id, i);
-            in.b[i] = inputB(v.id, i);
-        }
-        if (v.app == 3) {
-            in.ints.resize(v.n);
-            for (uint32_t i = 0; i < v.n; ++i)
-                in.ints[i] = static_cast<int32_t>(
-                    (static_cast<uint32_t>(v.id) * 7 + i) % 13);
-            in.zeros.assign(16, 0);
-        }
-    }
-    return inputs;
-}
-
-sim::NDRange
-bindVariant(const Variant &v, KernelHandle &kernel, const Buffer &in0,
-            const Buffer &in1, const Buffer &out)
-{
-    switch (v.app) {
-      case 0:
-        kernel.setArg(0, in0);
-        kernel.setArg(1, in1);
-        kernel.setArg(2, out);
-        break;
-      case 1:
-        kernel.setArg(0, in0);
-        kernel.setArg(1, out);
-        kernel.setArg(2, static_cast<float>(v.scalar));
-        break;
-      case 3:
-        kernel.setArg(0, in0);
-        kernel.setArg(1, out);
-        break;
-      case 4:
-        kernel.setArg(0, in0);
-        kernel.setArg(1, out);
-        kernel.setArg(2, static_cast<int32_t>(v.n));
-        break;
-      default: // smooth / reduce
-        kernel.setArg(0, in0);
-        kernel.setArg(1, out);
-        kernel.setArg(2, v.scalar);
-        break;
-    }
-    sim::NDRange nd;
-    nd.globalSize[0] = v.n;
-    nd.localSize[0] = v.local;
-    return nd;
-}
-
-std::vector<Event>
-enqueueInputs(CommandQueue &queue, const Variant &v,
-              const VariantInputs &in, const Buffer &in0,
-              const Buffer &in1, const Buffer &out)
-{
-    std::vector<Event> done;
-    Event w;
-    switch (v.app) {
-      case 0:
-        queue.enqueueWrite(in0, in.a.data(), v.n * 4, {}, &w);
-        done.push_back(w);
-        queue.enqueueWrite(in1, in.b.data(), v.n * 4, {}, &w);
-        done.push_back(w);
-        break;
-      case 1:
-        queue.enqueueWrite(in0, in.a.data(), v.n * 4, {}, &w);
-        done.push_back(w);
-        queue.enqueueWrite(out, in.b.data(), v.n * 4, {}, &w);
-        done.push_back(w);
-        break;
-      case 3:
-        queue.enqueueWrite(in0, in.ints.data(), v.n * 4, {}, &w);
-        done.push_back(w);
-        queue.enqueueWrite(out, in.zeros.data(), 16 * 4, {}, &w);
-        done.push_back(w);
-        break;
-      default:
-        queue.enqueueWrite(in0, in.a.data(), v.n * 4, {}, &w);
-        done.push_back(w);
-        break;
-    }
-    return done;
-}
-
-/** Reference-interpreter oracle per variant (side context). */
-std::vector<std::vector<uint8_t>>
-makeOracles(const std::vector<Variant> &variants,
-            const std::vector<VariantInputs> &inputs)
-{
-    Context ctx;
-    Program program = ctx.buildProgram(kKernels);
-    std::vector<KernelHandle> kernels;
-    for (const char *name : kAppNames)
-        kernels.push_back(program.createKernel(name));
-    Buffer in0 = ctx.createBuffer(kSlotBytes);
-    Buffer in1 = ctx.createBuffer(kSlotBytes);
-    Buffer out = ctx.createBuffer(kSlotBytes);
-    std::vector<std::vector<uint8_t>> oracles(variants.size());
-    for (const Variant &v : variants) {
-        const VariantInputs &in = inputs[static_cast<size_t>(v.id)];
-        switch (v.app) {
-          case 0:
-            ctx.writeBuffer(in0, in.a.data(), v.n * 4);
-            ctx.writeBuffer(in1, in.b.data(), v.n * 4);
-            break;
-          case 1:
-            ctx.writeBuffer(in0, in.a.data(), v.n * 4);
-            ctx.writeBuffer(out, in.b.data(), v.n * 4);
-            break;
-          case 3:
-            ctx.writeBuffer(in0, in.ints.data(), v.n * 4);
-            ctx.writeBuffer(out, in.zeros.data(), 16 * 4);
-            break;
-          default:
-            ctx.writeBuffer(in0, in.a.data(), v.n * 4);
-            break;
-        }
-        KernelHandle &kernel = kernels[static_cast<size_t>(v.app)];
-        sim::NDRange nd = bindVariant(v, kernel, in0, in1, out);
-        ctx.enqueueNDRange(kernel, nd, ExecutionMode::Reference);
-        std::vector<uint8_t> bytes(v.outBytes());
-        ctx.readBuffer(out, bytes.data(), bytes.size());
-        oracles[static_cast<size_t>(v.id)] = std::move(bytes);
-    }
-    return oracles;
 }
 
 enum class FaultMode
@@ -483,7 +251,7 @@ runSoak(const SoakConfig &cfg, const std::vector<Variant> &variants,
             gate = ctx.createUserEvent();
         }
         std::vector<Event> waits = enqueueInputs(
-            queue, v, in, slot.in0, slot.in1, slot.out);
+            queue, v, in, slot.in0, slot.in1, slot.out, {});
         if (i % 11 == 7)
             waits.push_back(gate);
         KernelHandle &kernel = kernels[static_cast<size_t>(v.app)];
@@ -576,19 +344,6 @@ runSoak(const SoakConfig &cfg, const std::vector<Variant> &variants,
     r.accounted = r.injected.total() ==
                   r.stats.faultsRetriedAway + r.stats.faultsSurfaced;
     return r;
-}
-
-std::vector<int>
-workerCounts()
-{
-    std::vector<int> counts = {
-        1, 2,
-        std::max(1, static_cast<int>(
-                        std::thread::hardware_concurrency()))};
-    std::sort(counts.begin(), counts.end());
-    counts.erase(std::unique(counts.begin(), counts.end()),
-                 counts.end());
-    return counts;
 }
 
 /** The grid, grouped by everything-but-workers. */

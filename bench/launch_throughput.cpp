@@ -8,122 +8,30 @@
  * oracle computed once per kernel variant in a side context.
  *
  * The headline metric is launches/second scaling with workers; the
- * circuit-template pool counters (hits/misses/steals/evictions) show
- * how the concurrent runs share prebuilt circuits.
+ * circuit-template pool counters (hits/misses/steals) show how the
+ * concurrent runs share prebuilt circuits.
  *
  * Writes BENCH_launch.json next to the binary (consumed by CI: the
  * release-perf gate asserts multi-worker speedup when the host has
  * cores to scale onto, and skips with a note on 1-core runners).
  */
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <map>
-#include <string>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
-#include "runtime/runtime.hpp"
-#include "support/error.hpp"
+#include "launch_chains.hpp"
 #include "support/json.hpp"
 
 using namespace soff;
 using namespace soff::rt;
+using namespace launch_chains;
 
 namespace
 {
 
-const char *kKernels = R"CL(
-__kernel void vadd(__global float* A, __global float* B,
-                   __global float* C) {
-  int g = get_global_id(0);
-  C[g] = A[g] + B[g];
-}
-__kernel void saxpy(__global float* X, __global float* Y, float a) {
-  int g = get_global_id(0);
-  Y[g] = a * X[g] + Y[g];
-}
-__kernel void smooth(__global float* A, __global float* B, int iters) {
-  __local float tile[16];
-  int l = get_local_id(0);
-  int g = get_global_id(0);
-  tile[l] = A[g];
-  for (int t = 0; t < iters; t++) {
-    barrier(CLK_LOCAL_MEM_FENCE);
-    float left = tile[l == 0 ? 0 : l - 1];
-    float right = tile[l == 15 ? 15 : l + 1];
-    barrier(CLK_LOCAL_MEM_FENCE);
-    tile[l] = 0.5f * tile[l] + 0.25f * (left + right);
-  }
-  B[g] = tile[l];
-}
-__kernel void histo(__global int* A, __global int* H) {
-  int g = get_global_id(0);
-  atomic_add(&H[A[g] & 15], 1);
-}
-__kernel void stencil(__global float* A, __global float* C, int n) {
-  int g = get_global_id(0);
-  float left = g == 0 ? A[0] : A[g - 1];
-  float right = g == n - 1 ? A[n - 1] : A[g + 1];
-  C[g] = 0.25f * left + 0.5f * A[g] + 0.25f * right;
-}
-__kernel void reduce(__global float* A, __global float* R, int lsz) {
-  __local float sc[32];
-  int l = get_local_id(0);
-  sc[l] = A[get_global_id(0)];
-  barrier(CLK_LOCAL_MEM_FENCE);
-  if (l == 0) {
-    float s = 0.0f;
-    for (int i = 0; i < lsz; i++) s += sc[i];
-    R[get_group_id(0)] = s;
-  }
-}
-)CL";
-
-constexpr int kNumApps = 6;
-const char *kAppNames[kNumApps] = {"vadd",  "saxpy",   "smooth",
-                                   "histo", "stencil", "reduce"};
-constexpr uint64_t kSlotBytes = 64 * 4; ///< Largest NDRange is 64.
-
-/** One kernel variant: everything that shapes a launch except the
- *  buffer slot it lands in. Inputs are a pure function of the id. */
-struct Variant
-{
-    int app = 0;
-    uint32_t n = 0;
-    uint32_t local = 0;
-    int32_t scalar = 0;
-    int id = 0;
-
-    uint64_t
-    outBytes() const
-    {
-        if (app == 3)
-            return 16 * 4; // histogram bins
-        if (app == 5)
-            return n / local * 4; // one sum per group
-        return n * 4;
-    }
-};
-
-float
-inputA(int variant, uint32_t i)
-{
-    return static_cast<float>(
-               (static_cast<uint32_t>(variant) * 7 + i) % 13) *
-           0.5f;
-}
-
-float
-inputB(int variant, uint32_t i)
-{
-    return static_cast<float>(
-               (static_cast<uint32_t>(variant) * 3 + i) % 9) *
-           0.25f;
-}
-
-/** The mixed workload: a deterministic LCG sequence over variants. */
+/** 54 variants: every kernel at three sizes and three scalars. */
 std::vector<Variant>
 makeVariants()
 {
@@ -158,6 +66,7 @@ makeVariants()
     return variants;
 }
 
+/** The mixed workload: a deterministic LCG sequence over variants. */
 std::vector<int>
 makeSchedule(size_t launches, size_t num_variants)
 {
@@ -169,157 +78,6 @@ makeSchedule(size_t launches, size_t num_variants)
         schedule.push_back(static_cast<int>((s >> 33) % num_variants));
     }
     return schedule;
-}
-
-/** Host-side input images per variant (stable storage: enqueueWrite
- *  keeps raw pointers until the DMA command executes). */
-struct VariantInputs
-{
-    std::vector<float> a;
-    std::vector<float> b;       ///< saxpy Y / vadd B.
-    std::vector<int32_t> ints;  ///< histo values.
-    std::vector<int32_t> zeros; ///< histo bin reset.
-};
-
-std::vector<VariantInputs>
-makeInputs(const std::vector<Variant> &variants)
-{
-    std::vector<VariantInputs> inputs(variants.size());
-    for (const Variant &v : variants) {
-        VariantInputs &in = inputs[static_cast<size_t>(v.id)];
-        in.a.resize(v.n);
-        in.b.resize(v.n);
-        for (uint32_t i = 0; i < v.n; ++i) {
-            in.a[i] = inputA(v.id, i);
-            in.b[i] = inputB(v.id, i);
-        }
-        if (v.app == 3) {
-            in.ints.resize(v.n);
-            for (uint32_t i = 0; i < v.n; ++i)
-                in.ints[i] = static_cast<int32_t>(
-                    (static_cast<uint32_t>(v.id) * 7 + i) % 13);
-            in.zeros.assign(16, 0);
-        }
-    }
-    return inputs;
-}
-
-/** Binds a variant's arguments against a slot's buffers. */
-sim::NDRange
-bindVariant(const Variant &v, KernelHandle &kernel, const Buffer &in0,
-            const Buffer &in1, const Buffer &out)
-{
-    switch (v.app) {
-      case 0:
-        kernel.setArg(0, in0);
-        kernel.setArg(1, in1);
-        kernel.setArg(2, out);
-        break;
-      case 1:
-        kernel.setArg(0, in0);
-        kernel.setArg(1, out);
-        kernel.setArg(2, static_cast<float>(v.scalar));
-        break;
-      case 3:
-        kernel.setArg(0, in0);
-        kernel.setArg(1, out);
-        break;
-      case 4:
-        kernel.setArg(0, in0);
-        kernel.setArg(1, out);
-        kernel.setArg(2, static_cast<int32_t>(v.n));
-        break;
-      default: // smooth / reduce
-        kernel.setArg(0, in0);
-        kernel.setArg(1, out);
-        kernel.setArg(2, v.scalar);
-        break;
-    }
-    sim::NDRange nd;
-    nd.globalSize[0] = v.n;
-    nd.localSize[0] = v.local;
-    return nd;
-}
-
-/** Issues the input-transfer commands of one launch; returns the
- *  events the launch must wait on. */
-std::vector<Event>
-enqueueInputs(CommandQueue &queue, const Variant &v,
-              const VariantInputs &in, const Buffer &in0,
-              const Buffer &in1, const Buffer &out,
-              const std::vector<Event> &slot_free)
-{
-    std::vector<Event> done;
-    Event w;
-    switch (v.app) {
-      case 0:
-        queue.enqueueWrite(in0, in.a.data(), v.n * 4, slot_free, &w);
-        done.push_back(w);
-        queue.enqueueWrite(in1, in.b.data(), v.n * 4, slot_free, &w);
-        done.push_back(w);
-        break;
-      case 1:
-        queue.enqueueWrite(in0, in.a.data(), v.n * 4, slot_free, &w);
-        done.push_back(w);
-        queue.enqueueWrite(out, in.b.data(), v.n * 4, slot_free, &w);
-        done.push_back(w);
-        break;
-      case 3:
-        queue.enqueueWrite(in0, in.ints.data(), v.n * 4, slot_free, &w);
-        done.push_back(w);
-        queue.enqueueWrite(out, in.zeros.data(), 16 * 4, slot_free, &w);
-        done.push_back(w);
-        break;
-      default:
-        queue.enqueueWrite(in0, in.a.data(), v.n * 4, slot_free, &w);
-        done.push_back(w);
-        break;
-    }
-    return done;
-}
-
-/** Reference-interpreter oracle per variant, computed in a side
- *  context (independent memory, no circuits). */
-std::vector<std::vector<uint8_t>>
-makeOracles(const std::vector<Variant> &variants,
-            const std::vector<VariantInputs> &inputs)
-{
-    Context ctx;
-    Program program = ctx.buildProgram(kKernels);
-    std::vector<KernelHandle> kernels;
-    for (const char *name : kAppNames)
-        kernels.push_back(program.createKernel(name));
-    Buffer in0 = ctx.createBuffer(kSlotBytes);
-    Buffer in1 = ctx.createBuffer(kSlotBytes);
-    Buffer out = ctx.createBuffer(kSlotBytes);
-    std::vector<std::vector<uint8_t>> oracles(variants.size());
-    for (const Variant &v : variants) {
-        const VariantInputs &in = inputs[static_cast<size_t>(v.id)];
-        switch (v.app) {
-          case 0:
-            ctx.writeBuffer(in0, in.a.data(), v.n * 4);
-            ctx.writeBuffer(in1, in.b.data(), v.n * 4);
-            break;
-          case 1:
-            ctx.writeBuffer(in0, in.a.data(), v.n * 4);
-            ctx.writeBuffer(out, in.b.data(), v.n * 4);
-            break;
-          case 3:
-            ctx.writeBuffer(in0, in.ints.data(), v.n * 4);
-            ctx.writeBuffer(out, in.zeros.data(), 16 * 4);
-            break;
-          default:
-            ctx.writeBuffer(in0, in.a.data(), v.n * 4);
-            break;
-        }
-        KernelHandle &kernel = kernels[static_cast<size_t>(v.app)];
-        sim::NDRange nd = bindVariant(v, kernel, in0, in1, out);
-        ctx.enqueueNDRange(kernel, nd, ExecutionMode::Reference);
-        std::vector<uint8_t> bytes(v.outBytes());
-        ctx.readBuffer(out, bytes.data(), bytes.size());
-        oracles[static_cast<size_t>(v.id)] = std::move(bytes);
-    }
-    return oracles;
 }
 
 struct RunResult
@@ -407,20 +165,6 @@ runWorkload(const std::vector<Variant> &variants,
     return r;
 }
 
-/** 1, 2, hardware_concurrency — deduplicated and sorted. */
-std::vector<int>
-workerCounts()
-{
-    std::vector<int> counts = {
-        1, 2,
-        std::max(1, static_cast<int>(
-                        std::thread::hardware_concurrency()))};
-    std::sort(counts.begin(), counts.end());
-    counts.erase(std::unique(counts.begin(), counts.end()),
-                 counts.end());
-    return counts;
-}
-
 } // namespace
 
 int
@@ -443,9 +187,9 @@ main(int argc, char **argv)
 
     std::printf("Launch throughput: %zu mixed launches (x3 commands "
                 "per launch) over 2 out-of-order queues\n", launches);
-    std::printf("%-8s %12s %14s %9s %9s %8s %8s %10s %9s\n", "workers",
+    std::printf("%-8s %12s %14s %9s %9s %8s %10s %9s\n", "workers",
                 "wall (ms)", "launches/s", "poolHit", "poolMiss",
-                "steals", "evicted", "verified", "speedup");
+                "steals", "verified", "speedup");
 
     struct Row
     {
@@ -463,7 +207,7 @@ main(int argc, char **argv)
         double speedup = r.wallMs > 0.0 ? base_ms / r.wallMs : 0.0;
         bool verified = r.mismatches == 0;
         all_verified = all_verified && verified;
-        std::printf("%-8d %12.1f %14.1f %9llu %9llu %8llu %8llu %10s "
+        std::printf("%-8d %12.1f %14.1f %9llu %9llu %8llu %10s "
                     "%8.2fx\n",
                     workers, r.wallMs,
                     r.wallMs > 0.0 ? 1e3 * static_cast<double>(
@@ -472,7 +216,6 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(r.pool.hits),
                     static_cast<unsigned long long>(r.pool.misses),
                     static_cast<unsigned long long>(r.pool.steals),
-                    static_cast<unsigned long long>(r.pool.evictions),
                     verified ? "yes" : "NO", speedup);
         rows.push_back({workers, r});
     }
@@ -503,7 +246,6 @@ main(int argc, char **argv)
         w.field("hits", r.pool.hits);
         w.field("misses", r.pool.misses);
         w.field("steals", r.pool.steals);
-        w.field("evictions", r.pool.evictions);
         w.field("returns", r.pool.returns);
         w.endObject();
         w.endObject();

@@ -426,9 +426,9 @@ void
 BM_LaneWalk(benchmark::State &state)
 {
     // Lane-layout counterbench: the batched sweep touches one 8-byte
-    // Component* lane per position. Walking a 24-byte row (the old
-    // StepEntry shape: component + step fn + holds fn) drags 3x the
-    // bytes through the cache for the same traversal. Measures the
+    // Component* lane per position. Walking a 24-byte row (a component
+    // pointer beside a step and a holds-work function pointer) drags 3x
+    // the bytes through the cache for the same traversal. Measures the
     // memory-side motivation for the SoA split, independent of the
     // simulator. Arg is the position count.
     struct WideRow

@@ -74,8 +74,8 @@ __kernel void histogram(__global int* data, __global int* hist, int n) {
     }
     std::printf("local memory accesses: %llu (bank conflicts: %llu)\n",
                 static_cast<unsigned long long>(
-                    result.stats.localAccesses),
+                    result.statsReport->localAccesses),
                 static_cast<unsigned long long>(
-                    result.stats.localBankConflicts));
+                    result.statsReport->localBankConflicts));
     return ok ? 0 : 1;
 }

@@ -58,9 +58,10 @@ __kernel void saxpy(__global float* X, __global float* Y, float a) {
     std::printf("  estimated fmax     : %.0f MHz\n", result.fmaxMhz);
     std::printf("  kernel time        : %.4f ms\n", result.timeMs);
     std::printf("  cache hits/misses  : %llu / %llu\n",
-                static_cast<unsigned long long>(result.stats.cacheHits),
                 static_cast<unsigned long long>(
-                    result.stats.cacheMisses));
+                    result.statsReport->cacheHits),
+                static_cast<unsigned long long>(
+                    result.statsReport->cacheMisses));
     std::printf("  y[10] = %.1f (expected %.1f)\n", y[10],
                 2.0f * x[10] + 1.0f);
     return y[10] == 2.0f * x[10] + 1.0f ? 0 : 1;

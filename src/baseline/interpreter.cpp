@@ -4,6 +4,7 @@
 
 #include "ir/eval.hpp"
 #include "support/error.hpp"
+#include "support/strings.hpp"
 
 namespace soff::baseline
 {
@@ -33,9 +34,11 @@ class GroupExecutor
                   const sim::LaunchContext &launch,
                   memsys::GlobalMemory &memory,
                   Interpreter::TraceHook &trace,
-                  Interpreter::BlockHook &block_hook, InterpStats &stats)
+                  Interpreter::BlockHook &block_hook, InterpStats &stats,
+                  uint64_t instruction_limit)
         : kernel_(kernel), launch_(launch), memory_(memory),
-          trace_(trace), blockHook_(block_hook), stats_(stats)
+          trace_(trace), blockHook_(block_hook), stats_(stats),
+          instructionLimit_(instruction_limit)
     {
         for (size_t i = 0; i < kernel.numLocalVars(); ++i) {
             localMem_.emplace_back(
@@ -251,11 +254,15 @@ class GroupExecutor
     void
     runUntilStop(WiState &wi)
     {
-        uint64_t budget = 500000000ULL;
         while (true) {
-            SOFF_ASSERT(budget-- > 0, "interpreter: runaway work-item");
+            if (++stats_.instructionsExecuted > instructionLimit_) {
+                throw RunawayKernel(strFormat(
+                    "spent its budget of %llu instructions on the "
+                    "reference interpreter without finishing",
+                    static_cast<unsigned long long>(
+                        launch_.ndrange.workBudget())));
+            }
             const ir::Instruction *inst = wi.block->inst(wi.index);
-            ++stats_.instructionsExecuted;
             switch (inst->op()) {
               case ir::Opcode::Barrier:
                 wi.atBarrier = inst;
@@ -300,6 +307,9 @@ class GroupExecutor
     Interpreter::TraceHook &trace_;
     Interpreter::BlockHook &blockHook_;
     InterpStats &stats_;
+    /** stats_.instructionsExecuted value past which the launch has
+     *  spent its budget. */
+    uint64_t instructionLimit_;
     std::vector<std::vector<uint8_t>> localMem_;
 };
 
@@ -319,9 +329,10 @@ Interpreter::run(const ir::Kernel &kernel,
                                "of the work-group size");
         }
     }
+    const uint64_t limit = stats_.instructionsExecuted + nd.workBudget();
     for (uint64_t g = 0; g < nd.totalGroups(); ++g) {
         GroupExecutor executor(kernel, launch, memory_, trace_,
-                               blockHook_, stats_);
+                               blockHook_, stats_, limit);
         executor.runGroup(g);
     }
 }

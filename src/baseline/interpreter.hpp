@@ -16,6 +16,7 @@
 #include "ir/kernel.hpp"
 #include "memsys/global_memory.hpp"
 #include "sim/token.hpp"
+#include "support/error.hpp"
 
 namespace soff::baseline
 {
@@ -30,6 +31,17 @@ struct MemAccessEvent
     bool isGlobal = false;
     bool isWrite = false;
     bool isAtomic = false;
+};
+
+/**
+ * A launch that executed more instructions than its NDRange's
+ * workBudget(): a kernel that does not terminate. The launch fails;
+ * the process survives.
+ */
+class RunawayKernel : public RuntimeError
+{
+  public:
+    using RuntimeError::RuntimeError;
 };
 
 /** Interpreter statistics. */
@@ -59,7 +71,8 @@ class Interpreter
     /**
      * Runs the kernel over the launch NDRange. Throws RuntimeError on
      * malformed execution (e.g. inconsistent barriers, §II-B3 undefined
-     * behavior that the oracle refuses to guess about).
+     * behavior that the oracle refuses to guess about), and
+     * RunawayKernel once the launch spends its instruction budget.
      */
     void run(const ir::Kernel &kernel, const sim::LaunchContext &launch);
 

@@ -112,16 +112,16 @@ BenchContext::launch(const std::string &kernel,
         metrics_.timeMs += result.timeMs;
         metrics_.cycles += result.cycles;
         metrics_.instances = result.instances;
-        metrics_.cacheHits += result.stats.cacheHits;
-        metrics_.cacheMisses += result.stats.cacheMisses;
-        metrics_.cacheEvictions += result.stats.cacheEvictions;
-        metrics_.dramTransfers += result.stats.dramTransfers;
-        metrics_.dramBytes += result.stats.dramBytes;
+        const sim::StatsReport &report = *result.statsReport;
+        metrics_.cacheHits += report.cacheHits;
+        metrics_.cacheMisses += report.cacheMisses;
+        metrics_.cacheEvictions += report.cacheEvictions;
+        metrics_.dramTransfers += report.dramTransfers;
+        metrics_.dramBytes += report.dramBytes;
         metrics_.componentSteps += result.sched.componentSteps;
         metrics_.cyclesActive += result.sched.cyclesActive;
         metrics_.channelCommits += result.sched.channelCommits;
-        if (result.statsReport != nullptr)
-            metrics_.statsReports.push_back(result.statsReport);
+        metrics_.statsReports.push_back(result.statsReport);
         return;
       }
       case Engine::Reference: {

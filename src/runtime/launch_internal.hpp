@@ -40,16 +40,9 @@ namespace soff::rt::detail
 /** Fixed queued->submit latency on the profiling timeline (ns). */
 constexpr uint64_t kSubmitOverheadNs = 500;
 
-/**
- * Strict parser shared by the launch-engine env knobs
- * (SOFF_QUEUE_WORKERS, SOFF_TEMPLATE_POOL): a bare positive decimal
- * integer in [lo, hi]; anything else is CL_INVALID_VALUE.
- */
-int parseEnvInt(const char *knob, const char *text, long lo, long hi);
-
-/** 64-bit variant for cycle-count knobs (SOFF_LAUNCH_TIMEOUT). */
-uint64_t parseEnvU64(const char *knob, const char *text, uint64_t lo,
-                     uint64_t hi);
+/** Simulated backoff before retry k (1-based): kRetryBackoffNs << (k-1)
+ *  on the profiling timeline (ns). */
+constexpr uint64_t kRetryBackoffNs = 4000;
 
 /**
  * A fully resolved launch: everything Context::runLaunchCore needs,
@@ -68,13 +61,12 @@ struct CorePlan
     uint64_t maxCycles = 0;
     bool crosscheck = false;
     bool cacheable = false;
-    /** Per-key template-pool capacity (SOFF_TEMPLATE_POOL). */
-    size_t poolCapacity = 1;
     /** Every kernel of the program fits the region together (§III-B). */
     bool allFit = false;
 
     // -- Reliability layer ------------------------------------------
-    /** Watchdog cycle budget; 0 = heuristic maxCycles cap only. */
+    /** Watchdog cycle budget (QueueOptions::launchTimeoutCycles);
+     *  0 = heuristic maxCycles cap only. */
     uint64_t timeoutCycles = 0;
     /** Enqueue ordinal: the launch-visible fault key (deterministic
      *  across worker counts — assigned on the enqueue thread). */
@@ -153,9 +145,8 @@ struct Command
     std::atomic<bool> submitted{false};
 
     // -- Reliability ------------------------------------------------
-    /** Retry/fault knobs resolved on the enqueue thread. */
+    /** Retry budget resolved on the enqueue thread. */
     int retryAttempts = 0;
-    uint64_t backoffNs = 0;
     /** Launch-visible fault plan for DMA commands (NDRange launches
      *  carry theirs inside plan.plat.faults). */
     sim::FaultPlan dmaFaults;

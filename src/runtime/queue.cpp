@@ -6,51 +6,16 @@
  * determinism argument.
  */
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
 
 #include "runtime/launch_internal.hpp"
 #include "runtime/runtime.hpp"
-#include "support/strings.hpp"
 
 namespace soff::rt
 {
 
 namespace detail
 {
-
-int
-parseEnvInt(const char *knob, const char *text, long lo, long hi)
-{
-    errno = 0;
-    char *end = nullptr;
-    long v = std::strtol(text, &end, 10);
-    bool bare_digits = *text >= '0' && *text <= '9'; // no ws/sign
-    if (!bare_digits || end == text || *end != '\0' || errno == ERANGE ||
-        v < lo || v > hi) {
-        throw OpenClError(ClStatus::InvalidValue, strFormat(
-            "invalid %s '%s': expected an integer between %ld and %ld",
-            knob, text, lo, hi));
-    }
-    return static_cast<int>(v);
-}
-
-uint64_t
-parseEnvU64(const char *knob, const char *text, uint64_t lo, uint64_t hi)
-{
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    bool bare_digits = *text >= '0' && *text <= '9'; // no ws/sign
-    if (!bare_digits || end == text || *end != '\0' || errno == ERANGE ||
-        v < lo || v > hi) {
-        throw OpenClError(ClStatus::InvalidValue, strFormat(
-            "invalid %s '%s': expected an integer between %llu and %llu",
-            knob, text, static_cast<unsigned long long>(lo),
-            static_cast<unsigned long long>(hi)));
-    }
-    return static_cast<uint64_t>(v);
-}
 
 namespace
 {
@@ -162,7 +127,7 @@ Command::execute(Context &ctx)
                     break; // Retry budget exhausted (or cancelled).
                 }
                 ++retriesUsed;
-                backoff_total += backoffNs << (retriesUsed - 1);
+                backoff_total += kRetryBackoffNs << (retriesUsed - 1);
                 if (snapshotted) {
                     for (size_t i = 0; i < plan.bufferSpans.size(); ++i) {
                         ctx.device().dmaWrite(plan.bufferSpans[i].first,
@@ -582,16 +547,8 @@ Context::engine(const QueueOptions &options)
     if (engine_ == nullptr) {
         int workers = options.workers;
         if (workers <= 0) {
-            const char *env = std::getenv("SOFF_QUEUE_WORKERS");
-            if (env != nullptr && *env != '\0') {
-                workers =
-                    detail::parseEnvInt("SOFF_QUEUE_WORKERS", env, 1,
-                                        1024);
-            } else {
-                workers = static_cast<int>(
-                    std::thread::hardware_concurrency());
-                workers = std::max(workers, 1);
-            }
+            workers = std::max(
+                static_cast<int>(std::thread::hardware_concurrency()), 1);
         }
         int max_in_flight = options.maxInFlight;
         if (max_in_flight <= 0)
@@ -643,8 +600,7 @@ CommandQueue::enqueueNDRange(KernelHandle &kernel,
     }
     cmd->plan = context_.resolveLaunch(kernel, ndrange, mode, plat,
                                        instance_override);
-    if (options_.launchTimeoutCycles > 0)
-        cmd->plan.timeoutCycles = options_.launchTimeoutCycles;
+    cmd->plan.timeoutCycles = options_.launchTimeoutCycles;
     resolveReliability(*cmd);
     enqueueCommand(std::move(cmd), wait_list, event);
 }
@@ -689,16 +645,7 @@ CommandQueue::enqueueRead(const Buffer &buffer, void *dst, uint64_t size,
 void
 CommandQueue::resolveReliability(detail::Command &cmd)
 {
-    int attempts = options_.retry.attempts;
-    if (attempts < 0) {
-        const char *env = std::getenv("SOFF_LAUNCH_RETRY");
-        attempts = (env != nullptr && *env != '\0')
-                       ? detail::parseEnvInt("SOFF_LAUNCH_RETRY", env, 0,
-                                             16)
-                       : 0;
-    }
-    cmd.retryAttempts = attempts;
-    cmd.backoffNs = options_.retry.backoffNs;
+    cmd.retryAttempts = options_.retry.attempts;
     if (cmd.kind != detail::Command::Kind::NDRange) {
         // DMA commands consult the launch-visible fault plan directly
         // (launches carry theirs inside plan.plat.faults).

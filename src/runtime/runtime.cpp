@@ -445,7 +445,6 @@ applyEnvOverrides(sim::PlatformConfig &plat)
 struct ModeRun
 {
     sim::Simulator::RunResult run;
-    sim::CircuitStats stats;
     sim::SchedulerStats sched;
     uint64_t retired = 0;
     /** Final global memory (outlives the verdict; not copied). */
@@ -454,10 +453,10 @@ struct ModeRun
 
 /**
  * CrossCheck verdict: every scheduler must be bit- and cycle-identical
- * to the synchronous reference. Cycle counts and stats are compared
- * for completed runs only — on deadlock the reference reports the
- * heuristic idle-window cycle while the event-driven schedulers report
- * the exact quiescence cycle, by design.
+ * to the synchronous reference. Cycle counts and StatsReports are
+ * compared for completed runs only — on deadlock the reference reports
+ * the heuristic idle-window cycle while the event-driven schedulers
+ * report the exact quiescence cycle, by design.
  */
 void
 crossCheckCompare(const std::string &kernel, const char *mode,
@@ -482,27 +481,10 @@ crossCheckCompare(const std::string &kernel, const char *mode,
         return;
     check("cycles", ref.run.cycles, alt.run.cycles);
     check("retiredWorkItems", ref.retired, alt.retired);
-    check("stats.cycles", ref.stats.cycles, alt.stats.cycles);
-    check("stats.cacheHits", ref.stats.cacheHits, alt.stats.cacheHits);
-    check("stats.cacheMisses", ref.stats.cacheMisses,
-          alt.stats.cacheMisses);
-    check("stats.cacheWritebacks", ref.stats.cacheWritebacks,
-          alt.stats.cacheWritebacks);
-    check("stats.dramTransfers", ref.stats.dramTransfers,
-          alt.stats.dramTransfers);
-    check("stats.localAccesses", ref.stats.localAccesses,
-          alt.stats.localAccesses);
-    check("stats.localBankConflicts", ref.stats.localBankConflicts,
-          alt.stats.localBankConflicts);
-    check("stats.numComponents", ref.stats.numComponents,
-          alt.stats.numComponents);
-    check("stats.cacheEvictions", ref.stats.cacheEvictions,
-          alt.stats.cacheEvictions);
-    check("stats.dramBytes", ref.stats.dramBytes, alt.stats.dramBytes);
-    // The full architectural counter fabric — per-component busy/stall
-    // cycles, token counts, channel high-water marks, datapath
-    // retirement timing — must be bit-identical too, not just the
-    // coarse rollup above.
+    // The full architectural counter fabric — cache, DRAM and local
+    // memory totals, per-component busy/stall cycles, token counts,
+    // channel high-water marks, datapath retirement timing — must be
+    // bit-identical.
     if (ref.run.stats != nullptr && alt.run.stats != nullptr) {
         std::string diff =
             sim::diffStatsReports(*ref.run.stats, *alt.run.stats);
@@ -531,17 +513,6 @@ samePlatformStructure(const sim::PlatformConfig &a,
            a.scheduler == b.scheduler &&
            a.memRespWindowOverride == b.memRespWindowOverride &&
            a.balanceFifoCap == b.balanceFifoCap;
-}
-
-/** SOFF_TEMPLATE_POOL env knob: per-key parked-template capacity. */
-size_t
-templatePoolCapacity()
-{
-    const char *v = std::getenv("SOFF_TEMPLATE_POOL");
-    if (v == nullptr || *v == '\0')
-        return 4; // Default: a few concurrent tenants per kernel.
-    return static_cast<size_t>(
-        detail::parseEnvInt("SOFF_TEMPLATE_POOL", v, 1, 256));
 }
 
 /** A kernel's out-of-bounds access, as the error the launch fails
@@ -594,18 +565,13 @@ void
 Program::storeCachedCircuit(const datapath::KernelPlan *plan,
                             int instances,
                             const sim::PlatformConfig &platform,
-                            std::unique_ptr<sim::KernelCircuit> circuit,
-                            size_t capacity)
+                            std::unique_ptr<sim::KernelCircuit> circuit)
 {
     std::lock_guard<std::mutex> lock(poolMutex_);
     for (PoolKey &key : circuitPool_) {
         if (key.plan != plan || key.instances != instances ||
             !samePlatformStructure(key.platform, platform))
             continue;
-        while (key.parked.size() >= capacity) {
-            key.parked.pop_front(); // Evict least recently parked.
-            ++poolStats_.evictions;
-        }
         key.parked.push_back(std::move(circuit));
         ++poolStats_.returns;
         return;
@@ -718,8 +684,7 @@ Context::resolveLaunch(KernelHandle &kernel, const sim::NDRange &ndrange,
     for (int n : kernel.program()->compiled().sharedInstanceCounts)
         plan.allFit &= n > 0;
 
-    uint64_t total_work = ndrange.totalWorkItems();
-    plan.maxCycles = 1000000ull + total_work * 50000ull;
+    plan.maxCycles = ndrange.workBudget();
 
     plan.plat = platform;
     applyEnvOverrides(plan.plat);
@@ -733,17 +698,9 @@ Context::resolveLaunch(KernelHandle &kernel, const sim::NDRange &ndrange,
     plan.cacheable = !plan.crosscheck && plan.plat.tracePath.empty() &&
                      !plan.plat.faults.perturbsTiming() &&
                      !plan.plat.faults.checkInvariants;
-    // Parsed on every simulated launch, cacheable or not, so a
-    // malformed value is rejected whatever else the launch enables.
-    plan.poolCapacity = templatePoolCapacity();
-    // Reliability layer: the watchdog budget (queue options override
-    // this after return), the deterministic fault ordinal, and the
-    // buffer spans the retry path snapshots/restores.
-    const char *wd = std::getenv("SOFF_LAUNCH_TIMEOUT");
-    if (wd != nullptr && *wd != '\0') {
-        plan.timeoutCycles = detail::parseEnvU64(
-            "SOFF_LAUNCH_TIMEOUT", wd, 1, 1000000000000ull);
-    }
+    // Reliability layer: the deterministic fault ordinal and the buffer
+    // spans the retry path snapshots/restores (a queue sets the
+    // watchdog budget after return).
     plan.ordinal = nextCommandOrdinal();
     plan.bufferSpans = kernel.bufferSpans();
     return plan;
@@ -761,6 +718,10 @@ Context::runLaunchCore(const detail::CorePlan &cp, uint64_t *duration_ns,
             interp.run(*cp.ck->kernel, cp.launch);
         } catch (const memsys::MemoryFault &e) {
             throw memoryFaultError(*cp.ck, e);
+        } catch (const baseline::RunawayKernel &e) {
+            throw OpenClError(ClStatus::OutOfResources,
+                              "kernel '" + cp.ck->kernel->name() +
+                                  "' " + e.what());
         }
         result.instances = 1;
         return result;
@@ -768,7 +729,7 @@ Context::runLaunchCore(const detail::CorePlan &cp, uint64_t *duration_ns,
     const core::CompiledKernel &ck = *cp.ck;
     const sim::LaunchContext &launch = cp.launch;
     int instances = cp.instances;
-    // Watchdog: an explicit cycle budget (queue option / env knob)
+    // Watchdog: an explicit cycle budget (a queue's launchTimeoutCycles)
     // replaces the generous NDRange-derived heuristic cap and makes a
     // trip a distinct, forensics-carrying failure class.
     bool watchdog = cp.timeoutCycles > 0;
@@ -821,7 +782,6 @@ Context::runLaunchCore(const detail::CorePlan &cp, uint64_t *duration_ns,
                 sim::KernelCircuit c(*ck.plan, launch, memory,
                                      instances, p);
                 out.run = c.run(max_cycles);
-                out.stats = c.stats();
                 out.sched = c.simulator().schedulerStats();
                 out.retired = c.retired();
                 out.mem = &memory;
@@ -884,7 +844,6 @@ Context::runLaunchCore(const detail::CorePlan &cp, uint64_t *duration_ns,
             std::rethrow_exception(comp_error);
         ModeRun evt_side;
         evt_side.run = run;
-        evt_side.stats = circuit->stats();
         evt_side.sched = circuit->simulator().schedulerStats();
         evt_side.retired = circuit->retired();
         evt_side.mem = &device_.globalMemory();
@@ -957,14 +916,12 @@ Context::runLaunchCore(const detail::CorePlan &cp, uint64_t *duration_ns,
     }
     result.cycles = run.cycles;
     result.instances = instances;
-    result.stats = circuit->stats();
     result.sched = circuit->simulator().schedulerStats();
     result.statsReport = run.stats;
     // Park the circuit for the next matching launch.
     if (cp.cacheable)
         cp.program->storeCachedCircuit(ck.plan.get(), instances, plat,
-                                       std::move(circuit),
-                                       cp.poolCapacity);
+                                       std::move(circuit));
     datapath::Resources used =
         ck.resourcesPerInstance.scaled(instances);
     result.fmaxMhz = datapath::estimateFmaxMhz(device_.fpga(), used);

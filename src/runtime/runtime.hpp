@@ -185,7 +185,6 @@ struct LaunchResult
     double fmaxMhz = 0.0;
     int instances = 0;
     bool deadlock = false;
-    sim::CircuitStats stats;
     /** Scheduler-side counters (mode-dependent; not cross-checked). */
     sim::SchedulerStats sched;
     /** Full architectural counter report (null for Reference mode). */
@@ -369,7 +368,6 @@ struct TemplatePoolStats
     uint64_t misses = 0;    ///< Cold: the key had never been built.
     uint64_t steals = 0;    ///< Key known but every template checked out
                             ///< by a concurrent launch (duplicate built).
-    uint64_t evictions = 0; ///< Return to a full key dropped the LRU.
     uint64_t returns = 0;   ///< Templates parked back after a run.
 };
 
@@ -424,14 +422,16 @@ class Program
      * on the next matching launch — bit-identical to a cold build.
      *
      * Concurrent launches of the same kernel each need a template of
-     * their own, so every key holds up to SOFF_TEMPLATE_POOL parked
-     * circuits (checkout/return under the pool mutex): checkout pops
-     * the most recently returned template (warm caches of the host's
-     * working set), return to a full key evicts the least recently
-     * parked one. A checkout that finds a known key empty because all
-     * of its templates are out with concurrent launches counts as a
-     * *steal* — the launch builds a duplicate that grows the pool when
-     * returned.
+     * their own, so every key parks each template returned to it
+     * (checkout/return under the pool mutex) and checkout pops the
+     * most recently returned one (warm caches of the host's working
+     * set). A checkout that finds a known key empty because all of its
+     * templates are out with concurrent launches counts as a *steal* —
+     * the launch builds a duplicate that grows the pool when returned.
+     * A template is built only then, so a key never holds more
+     * templates than the number of its launches that ever ran at once:
+     * the host's own concurrency bounds the pool, and nothing is
+     * evicted.
      *
      * The pool lives in the Program — not the Context — because a
      * parked circuit holds raw pointers into the plan's IR, which this
@@ -448,21 +448,19 @@ class Program
         const datapath::KernelPlan *plan = nullptr;
         int instances = 0;
         sim::PlatformConfig platform;
-        /** Parked templates, oldest first (LRU at the front). */
-        std::deque<std::unique_ptr<sim::KernelCircuit>> parked;
+        /** Parked templates, most recently returned last. */
+        std::vector<std::unique_ptr<sim::KernelCircuit>> parked;
     };
 
     /** Checks a matching template out of the pool (null on miss/steal). */
     std::unique_ptr<sim::KernelCircuit>
     takeCachedCircuit(const datapath::KernelPlan *plan, int instances,
                       const sim::PlatformConfig &platform);
-    /** Returns a template to the pool (evicts LRU when over
-     *  `capacity`, which is at least 1). */
+    /** Parks a template back in the pool. */
     void storeCachedCircuit(const datapath::KernelPlan *plan,
                             int instances,
                             const sim::PlatformConfig &platform,
-                            std::unique_ptr<sim::KernelCircuit> circuit,
-                            size_t capacity);
+                            std::unique_ptr<sim::KernelCircuit> circuit);
 
     Device *device_;
     std::unique_ptr<core::CompiledProgram> compiled_;
@@ -479,17 +477,14 @@ class Program
  * memory: an NDRange launch snapshots its buffer-argument spans before
  * the first attempt and restores them before each retry, then rebuilds
  * or re-checks-out a circuit from the template pool. Backoff is
- * *simulated* time — attempt k adds backoffNs << (k-1) to the
+ * *simulated* time — retry k (1-based) adds 4 µs << (k-1) to the
  * command's device-timeline duration; no wall-clock sleeping — so
  * profiling stamps stay deterministic for a fixed fault seed.
  */
 struct RetryPolicy
 {
-    /** Max re-execution attempts after the first failure; -1 = resolve
-     *  from SOFF_LAUNCH_RETRY (0 when unset too). */
-    int attempts = -1;
-    /** Simulated backoff before retry k (1-based): backoffNs << (k-1). */
-    uint64_t backoffNs = 4000;
+    /** Max re-execution attempts after the first failure. */
+    int attempts = 0;
 };
 
 /** Per-queue reliability counters (CommandQueue::reliabilityStats). */
@@ -536,7 +531,7 @@ struct QueueOptions
     bool outOfOrder = false;
     /**
      * Launch workers for this context's engine (first queue wins; 0 =
-     * SOFF_QUEUE_WORKERS, or hardware_concurrency when unset).
+     * hardware_concurrency).
      */
     int workers = 0;
     /**
@@ -548,10 +543,9 @@ struct QueueOptions
      * Watchdog: per-launch cycle budget. A launch still running after
      * this many simulated cycles is aborted cooperatively at a cycle
      * boundary and fails with SOFF_LAUNCH_TIMEOUT plus DeadlockReport
-     * forensics naming the stalled components. 0 = resolve from
-     * SOFF_LAUNCH_TIMEOUT (when that is unset too, the generous
-     * NDRange-derived heuristic cap applies and a trip surfaces as
-     * CL_OUT_OF_RESOURCES, as before).
+     * forensics naming the stalled components. 0 = no watchdog: the
+     * generous NDRange-derived heuristic cap applies and a trip
+     * surfaces as CL_OUT_OF_RESOURCES.
      */
     uint64_t launchTimeoutCycles = 0;
     /** Retry policy for transiently failed commands. */
@@ -632,8 +626,8 @@ class CommandQueue
     void enqueueCommand(std::shared_ptr<detail::Command> cmd,
                         const std::vector<Event> &wait_list,
                         Event *event);
-    /** Resolves the queue's retry/fault knobs on the enqueue thread
-     *  (strict SOFF_LAUNCH_RETRY / SOFF_FAULTS parsing). */
+    /** Resolves the queue's retry policy and a DMA command's fault
+     *  plan on the enqueue thread (strict SOFF_FAULTS parsing). */
     void resolveReliability(detail::Command &cmd);
     /** Marks `cmd` executed; retires every consecutive executed
      *  command in enqueue order (profiling stamp + event completion). */

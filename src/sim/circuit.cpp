@@ -580,28 +580,6 @@ KernelCircuit::run(Cycle max_cycles, Cycle deadlock_window)
     return result;
 }
 
-CircuitStats
-KernelCircuit::stats() const
-{
-    CircuitStats s;
-    s.cycles = sim_.now();
-    s.numInstances = numInstances_;
-    s.numComponents = sim_.numComponents();
-    for (const memsys::Cache *cache : caches_) {
-        s.cacheHits += cache->stats().hits;
-        s.cacheMisses += cache->stats().misses;
-        s.cacheEvictions += cache->stats().evictions;
-        s.cacheWritebacks += cache->stats().writebacks;
-    }
-    for (const memsys::LocalMemoryBlock *block : localBlocks_) {
-        s.localAccesses += block->stats().accesses;
-        s.localBankConflicts += block->stats().bankConflicts;
-    }
-    s.dramTransfers = dram_.transfers();
-    s.dramBytes = dram_.bytes();
-    return s;
-}
-
 std::shared_ptr<StatsReport>
 KernelCircuit::buildStatsReport() const
 {

@@ -56,22 +56,6 @@ struct PlatformConfig
     std::string statsPath;
 };
 
-/** Aggregated execution statistics. */
-struct CircuitStats
-{
-    uint64_t cycles = 0;
-    uint64_t cacheHits = 0;
-    uint64_t cacheMisses = 0;
-    uint64_t cacheEvictions = 0;
-    uint64_t cacheWritebacks = 0;
-    uint64_t dramTransfers = 0;
-    uint64_t dramBytes = 0;
-    uint64_t localAccesses = 0;
-    uint64_t localBankConflicts = 0;
-    int numInstances = 0;
-    size_t numComponents = 0;
-};
-
 /** A fully wired simulated kernel circuit. */
 class KernelCircuit
 {
@@ -108,7 +92,6 @@ class KernelCircuit
     bool completed() const { return counter_->completed(); }
     /** Work-items retired so far (work-item counter value, §III-B). */
     uint64_t retired() const { return counter_->retired(); }
-    CircuitStats stats() const;
     Simulator &simulator() { return sim_; }
 
     /**

@@ -199,28 +199,6 @@ Simulator::wakeComponent(Component *c)
 }
 
 void
-Simulator::finishStep(const StepEntry &e)
-{
-    // Span-based stall accounting. Both transitions of the predicate
-    // (holdsWork && !moved) coincide with cycles the event-driven
-    // schedulers step the component — holdsWork reads only committed
-    // channel state and the component's own members, both of which
-    // change only at commits that wake it or at its own steps — so the
-    // accumulated spans are bit-identical to stepping every cycle.
-    PerfCounters &p = e.c->perf_;
-    bool moved = p.lastMoveCycle == now_;
-    if (!moved && e.holds(e.c)) {
-        if (!p.stallOpen) {
-            p.stallOpen = true;
-            p.stallStart = now_;
-        }
-    } else if (p.stallOpen) {
-        p.stallOpen = false;
-        p.stalledCycles += now_ - p.stallStart;
-    }
-}
-
-void
 Simulator::finalizePerfSpans()
 {
     for (Component *c : components_) {
@@ -320,15 +298,14 @@ Simulator::runReference(const bool *done, Cycle max_cycles,
             return result;
         }
         activity_ = false;
-        for (const StepEntry &e : steps_) {
-            ChannelBase::tlsStepping = e.c;
-            ChannelBase::tlsStepPerf = &e.c->perf_;
-            e.step(e.c, now_);
-            finishStep(e);
+        const size_t n = components_.size();
+        for (size_t i = 0; i < n; ++i) {
+            ChannelBase::tlsStepping = components_[i];
+            stepMany_[i](&components_[i], 1, now_);
         }
         ChannelBase::tlsStepping = nullptr;
         ChannelBase::tlsStepPerf = nullptr;
-        stats_.componentSteps += steps_.size();
+        stats_.componentSteps += n;
         for (ChannelBase *ch : channels_) {
             if (ch->commit()) {
                 activity_ = true;
@@ -511,24 +488,21 @@ void
 Simulator::stepWakeList()
 {
     // The hot loop: an index walk over the flat dispatch table. No
-    // vtable loads — e.step/e.holds are the monomorphic thunks add<T>
-    // recorded — and no allocation (list storage is retained across
-    // cycles; component steps reuse member scratch buffers).
+    // vtable loads — each component's monomorphic step thunk steps a
+    // batch of one — and no allocation (list storage is retained across
+    // cycles; component steps reuse member scratch buffers). The
+    // wake-list entry is re-read each iteration: a same-cycle
+    // wakeComponent may insert past the cursor.
     sweeping_ = true;
     for (sweepPos_ = 0; sweepPos_ < currentList_.size(); ++sweepPos_) {
         uint32_t index = currentList_[sweepPos_];
-        const StepEntry &e = steps_[index];
         schedFlags_[index] &= static_cast<uint8_t>(~kInWakeList);
         ++stats_.componentSteps;
-        ChannelBase::tlsStepping = e.c;
-        ChannelBase::tlsStepPerf = &e.c->perf_;
-        e.step(e.c, now_);
-        ChannelBase::tlsStepping = nullptr;
-        ChannelBase::tlsStepPerf = nullptr;
-        finishStep(e);
-        if (e.c->alwaysAwake_)
-            scheduleIndexAt(index, now_ + 1);
+        ChannelBase::tlsStepping = components_[index];
+        stepMany_[index](&components_[index], 1, now_);
     }
+    ChannelBase::tlsStepping = nullptr;
+    ChannelBase::tlsStepPerf = nullptr;
     sweeping_ = false;
     currentList_.clear();
 }

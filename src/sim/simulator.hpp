@@ -14,15 +14,15 @@
  *    it is on the current cycle's wake list. It gets there via channel
  *    activity (a committed push/pop wakes both endpoints for the next
  *    cycle), a self-scheduled timer (`wakeAt`, for DRAM latency and
- *    similar purely internal timed state), a cross-component wake
+ *    similar purely internal timed state), or a cross-component wake
  *    (`wakeOther`, for non-channel couplings such as lock tables and
- *    loop gates), or the always-awake opt-out. Only channels touched
- *    this cycle commit (dirty list), and idle gaps are skipped by
- *    jumping the clock to the next wake. Because the reference steps
- *    every component every cycle, a spurious wake can never diverge
- *    from it — equivalence only requires that no *needed* wake is
- *    missed, and that per-step state in components is either guarded
- *    by channel/timer conditions or derived from the cycle number.
+ *    loop gates). Only channels touched this cycle commit (dirty
+ *    list), and idle gaps are skipped by jumping the clock to the next
+ *    wake. Because the reference steps every component every cycle, a
+ *    spurious wake can never diverge from it — equivalence only
+ *    requires that no *needed* wake is missed, and that per-step state
+ *    in components is either guarded by channel/timer conditions or
+ *    derived from the cycle number.
  *
  *  - Compiled: the event-driven kernel plus a per-circuit specialized
  *    step plan (sim/specialize.hpp) that sweeps the same wake set in
@@ -35,13 +35,14 @@
  * but commits every channel).
  *
  * Data-oriented core. The per-cycle path never goes through a vtable:
- * `add<T>` records a monomorphic step/holdsWork thunk pair per
- * component in a flat table (`steps_`), so a wake-list sweep is an
- * index walk over contiguous entries making direct calls; channel
- * commits are non-virtual (see channel.hpp). Per-component scheduler
- * bookkeeping (pending timer, wake-list flags) lives in SoA arrays
- * indexed by component index, and watcher
- * wake-up walks a flat index-span table instead of per-channel pointer
+ * `add<T>` records one monomorphic batched step thunk per component
+ * (`stepMany_`, a stepManyBody<T>), which every sweep calls — the
+ * generic ones with a batch of one, the compiled plan with a whole
+ * bucket — so a component's step and its stall-span accounting exist
+ * once; channel commits are non-virtual (see channel.hpp).
+ * Per-component scheduler bookkeeping (pending timer, wake-list flags)
+ * lives in SoA arrays indexed by component index, and watcher wake-up
+ * walks a flat index-span table instead of per-channel pointer
  * vectors. Components and channels themselves — including every token
  * ring — are placement-constructed into a per-circuit slab arena in
  * build order, so one datapath instance occupies one contiguous region
@@ -198,8 +199,6 @@ class Component
     void requestWake();
     /** Wakes another component (non-channel coupling). */
     void wakeOther(Component *c);
-    /** Opts into unconditional per-cycle stepping. */
-    void setAlwaysAwake() { alwaysAwake_ = true; }
     /** Reference-mode watchdog hint: busy despite quiet channels. */
     void noteActivity();
 
@@ -218,7 +217,6 @@ class Component
     std::string name_;
     Simulator *sim_ = nullptr;
     uint32_t index_ = 0;
-    bool alwaysAwake_ = false;
     PerfCounters perf_; ///< Architectural counters (sim/stats.hpp).
 };
 
@@ -235,10 +233,10 @@ class Simulator
 
     /**
      * Creates and owns a component: placement-constructed in the
-     * circuit arena, with a monomorphic step/holdsWork thunk pair
-     * recorded in the flat dispatch table. The qualified `T::step`
-     * call compiles to a direct (inlinable) call — no vtable load in
-     * the sweep.
+     * circuit arena, with its monomorphic batched step thunk recorded
+     * in the flat dispatch table. The qualified `T::step` call
+     * compiles to a direct (inlinable) call — no vtable load in the
+     * sweep.
      */
     template <typename T, typename... Args>
     T *
@@ -251,14 +249,6 @@ class Simulator
         components_.push_back(raw);
         pendingWake_.push_back(kNoWake);
         schedFlags_.push_back(0);
-        steps_.push_back(StepEntry{
-            raw,
-            [](Component *c, Cycle now) {
-                static_cast<T *>(c)->T::step(now);
-            },
-            [](const Component *c) {
-                return static_cast<const T *>(c)->T::holdsWork();
-            }});
         stepMany_.push_back(&Simulator::stepManyBody<T>);
         return raw;
     }
@@ -408,15 +398,6 @@ class Simulator
     void wakeComponent(Component *c);
 
   private:
-    /** One flat dispatch-table row: the sweep reads (c, step) and the
-     *  stall accounting reads (c, holds) — no vtable loads. */
-    struct StepEntry
-    {
-        Component *c;
-        void (*step)(Component *, Cycle);
-        bool (*holds)(const Component *);
-    };
-
     struct HeapEntry
     {
         Cycle cycle;
@@ -447,20 +428,23 @@ class Simulator
                                : CompiledPlan::kNoSegment;
     }
 
-    /** Post-step stall-span accounting (both scheduler families). */
-    void finishStep(const StepEntry &e);
-
     /**
-     * Batched replica stepping: steps every component in `batch` —
-     * all of concrete type T, all awake replicas of one (level, thunk)
-     * bucket — through the directly inlinable qualified call, with the
-     * channel perf attribution redirected per replica (one TLS store)
-     * and the stall-span accounting fused in. The loop body is
-     * branch-light and monomorphic: the compiler sees T::step and
-     * T::holdsWork at their single call sites and can vectorize or
-     * software-pipeline across replicas. Equivalent to the generic
-     * stepWakeList + finishStep sequence by construction (same
-     * statements, same order per replica).
+     * The one step thunk of a component of concrete type T: steps every
+     * component in `batch` through the directly inlinable qualified
+     * call, with the channel perf attribution redirected per component
+     * (one TLS store), then does its stall-span accounting. The compiled
+     * sweep passes all awake replicas of one (level, thunk) bucket; the
+     * loop body is branch-light and monomorphic, so the compiler sees
+     * T::step and T::holdsWork at their single call sites and can
+     * vectorize or software-pipeline across replicas. The generic
+     * sweeps pass a batch of one.
+     *
+     * Span-based stall accounting: both transitions of the predicate
+     * (holdsWork && !moved) coincide with cycles the event-driven
+     * schedulers step the component — holdsWork reads only committed
+     * channel state and the component's own members, both of which
+     * change only at commits that wake it or at its own steps — so the
+     * accumulated spans are bit-identical to stepping every cycle.
      */
     template <typename T>
     static void
@@ -510,10 +494,9 @@ class Simulator
     std::vector<ChannelBase *> channels_;   ///< Arena-owned.
     /** Typed destructor thunk per channel (parallel to channels_). */
     std::vector<void (*)(ChannelBase *)> channelDtors_;
-    /** Flat dispatch table, parallel to components_. */
-    std::vector<StepEntry> steps_;
-    /** Batched step thunks, parallel to steps_ (compiled plan only;
-     *  every component of one thunk shares one stepManyBody<T>). */
+    /** Flat dispatch table, parallel to components_: each component's
+     *  step thunk (every component of one type shares one
+     *  stepManyBody<T>). */
     std::vector<StepManyFn> stepMany_;
 
     // SoA scheduler state, indexed by component index. Lives here (not

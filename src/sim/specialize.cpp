@@ -30,8 +30,6 @@ namespace
  *    cursor (wakeComponent's mid-sweep insert): memory units (lock
  *    handoff), caches and the completion counter (flush protocol),
  *    the dispatcher (slot retire), and loop gates (SWGR admission);
- *  - always-awake components, which re-arm themselves from inside
- *    the generic stepWakeList loop;
  *  - unknown (Other) kinds, which make no behavioral promises.
  *
  * Channel-only and timer-only kinds are safe: channel wakes are
@@ -68,13 +66,12 @@ Simulator::buildCompiledPlan()
     plan->compSegment.assign(n_comp, kNone);
     plan->chanSegment.assign(n_chan, kNone);
 
-    // --- 1. Membership: every eligible-kind, non-always-awake
-    // component joins the compiled sweep, regardless of index layout
-    // (the wake rerouting is exact, so adjacency buys nothing).
+    // --- 1. Membership: every eligible-kind component joins the
+    // compiled sweep, regardless of index layout (the wake rerouting is
+    // exact, so adjacency buys nothing).
     std::vector<uint32_t> members;
     for (uint32_t i = 0; i < n_comp; ++i) {
-        if (eligibleKind(components_[i]->kind()) &&
-            !components_[i]->alwaysAwake_) {
+        if (eligibleKind(components_[i]->kind())) {
             plan->compSegment[i] = 0;
             members.push_back(i);
         }
@@ -254,8 +251,8 @@ Simulator::buildCompiledPlan()
 
     // SoA dispatch lanes: the sweep's inner loop reads one component
     // pointer per replica (laneComp) and the batched thunk is hoisted
-    // into a bucket-indexed lane, so no StepEntry row is ever reloaded
-    // on the hot path. Every member of a bucket shares the thunk (the
+    // into a bucket-indexed lane, so no per-component thunk is ever
+    // reloaded on the hot path. Every member of a bucket shares the thunk (the
     // bucket key above), so the representative at bucketStart[b]
     // speaks for the whole range.
     plan->laneComp.resize(count);

@@ -10,8 +10,8 @@
  *
  *  1. Levelized member sweeps. A *member* is any component whose kind
  *     communicates only through channels and timers (Source, Sink,
- *     Compute, Router, Select, Barrier, Arbiter, LocalMemory) and is
- *     not always-awake; the kinds party to same-cycle wakeOther
+ *     Compute, Router, Select, Barrier, Arbiter, LocalMemory); the
+ *     kinds party to same-cycle wakeOther
  *     couplings (memory units, caches, dispatcher, counter, loop
  *     gates) stay generic, because their delivery semantics compare
  *     indices against the generic sweep cursor. Wakes addressed to
@@ -95,8 +95,8 @@ struct CompiledPlan
 
     // ------------------------------------------------------------------
     // SoA dispatch lanes (satellite of the batched step path): the
-    // sweep's inner loop reads exactly one 8-byte lane per replica
-    // instead of re-loading the full 24-byte StepEntry row.
+    // sweep's inner loop reads exactly one 8-byte lane per replica and
+    // one step thunk per bucket.
     // ------------------------------------------------------------------
 
     /** Position -> component pointer (the only per-replica lane the

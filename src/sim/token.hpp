@@ -40,6 +40,16 @@ struct NDRange
     {
         return numGroups(0) * numGroups(1) * numGroups(2);
     }
+    /**
+     * A launch's generous work budget: the simulated cycle cap without
+     * a watchdog, and the reference interpreter's instruction cap. A
+     * launch that spends it is taken not to terminate.
+     */
+    uint64_t
+    workBudget() const
+    {
+        return 1000000ull + totalWorkItems() * 50000ull;
+    }
 
     /** Full work-item context of a linear global id (row-major). */
     ir::WorkItemCtx

@@ -35,7 +35,7 @@ range1d(uint64_t global, uint64_t local)
 /** Every runnable application, executed in CrossCheck mode: the
  *  runtime runs one circuit per scheduler (reference, event-driven,
  *  and compiled, concurrently) and throws unless RunResult,
- *  CircuitStats, retired work-item counts, and final global memory are
+ *  StatsReport, retired work-item counts, and final global memory are
  *  bit-identical — and unless compiled and event-driven agree on
  *  componentSteps. The `_t<N>` cases run it on N host threads at once
  *  (1, 2, and hardware_concurrency()): beside the checked run, N-1
@@ -253,14 +253,12 @@ TEST_P(RandomizedEquivalence, IdenticalCyclesStatsAndMemory)
     }
     for (int m = 1; m < 3; ++m) {
         EXPECT_EQ(results[0].cycles, results[m].cycles) << m;
-        EXPECT_EQ(results[0].stats.cacheHits,
-                  results[m].stats.cacheHits) << m;
-        EXPECT_EQ(results[0].stats.cacheMisses,
-                  results[m].stats.cacheMisses) << m;
-        EXPECT_EQ(results[0].stats.dramTransfers,
-                  results[m].stats.dramTransfers) << m;
-        EXPECT_EQ(results[0].stats.localBankConflicts,
-                  results[m].stats.localBankConflicts) << m;
+        const sim::StatsReport &ref = *results[0].statsReport;
+        const sim::StatsReport &alt = *results[m].statsReport;
+        EXPECT_EQ(ref.cacheHits, alt.cacheHits) << m;
+        EXPECT_EQ(ref.cacheMisses, alt.cacheMisses) << m;
+        EXPECT_EQ(ref.dramTransfers, alt.dramTransfers) << m;
+        EXPECT_EQ(ref.localBankConflicts, alt.localBankConflicts) << m;
         EXPECT_EQ(out[0], out[m]) << m;
         // The event-driven schedulers must not do *more* work than the
         // reference, which steps every component every cycle.
