@@ -79,26 +79,42 @@ timedRun(const App &app, sim::SchedulerMode mode, const Workload &load,
         .count();
 }
 
-/** Best-of-N wrapper around timedRun: wall-clock noise on shared
- *  hosts is one-sided (preemption only ever adds time), so the
- *  minimum over a few repetitions estimates the true cost. Metrics
- *  and verification come from the last repetition (they are
- *  repetition-invariant — the simulation is deterministic). */
-double
-bestTimedRun(const App &app, sim::SchedulerMode mode,
-             const Workload &load, benchsuite::RunMetrics &metrics,
-             bool &verified)
+/** One scheduler's best-of-N timing for a row. */
+struct Variant
+{
+    explicit Variant(sim::SchedulerMode m) : mode(m) {}
+
+    sim::SchedulerMode mode;
+    double bestMs = 0.0;
+    benchsuite::RunMetrics metrics;
+    bool verified = true;
+};
+
+/**
+ * Best-of-N timing of every scheduler on one workload: wall-clock noise
+ * on shared hosts is one-sided (preemption only ever adds time), so the
+ * minimum over a few repetitions estimates the true cost. Each
+ * repetition runs all variants back to back (ref, evt, cmp, then the
+ * next repetition), so a slow spell of the host lands on every variant
+ * instead of covering all repetitions of one. Metrics come from the
+ * last repetition (they are repetition-invariant — the simulation is
+ * deterministic); a variant that fails to verify stops repeating.
+ */
+void
+bestTimedRuns(const App &app, const Workload &load,
+              std::vector<Variant> &variants)
 {
     constexpr int kReps = 3;
-    double best = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
-        double ms = timedRun(app, mode, load, metrics, verified);
-        if (rep == 0 || ms < best)
-            best = ms;
-        if (!verified)
-            break;
+        for (Variant &v : variants) {
+            if (!v.verified)
+                continue;
+            double ms =
+                timedRun(app, v.mode, load, v.metrics, v.verified);
+            if (rep == 0 || ms < v.bestMs)
+                v.bestMs = ms;
+        }
     }
-    return best;
 }
 
 double
@@ -148,20 +164,25 @@ main()
         Row row;
         row.load = load;
 
-        benchsuite::RunMetrics ref_metrics, evt_metrics, cmp_metrics;
-        bool ref_ok = false, evt_ok = false, cmp_ok = false;
-        row.refWallMs = bestTimedRun(*app, sim::SchedulerMode::Reference,
-                                     load, ref_metrics, ref_ok);
-        row.evtWallMs =
-            bestTimedRun(*app, sim::SchedulerMode::EventDriven, load,
-                         evt_metrics, evt_ok);
-        row.cmpWallMs =
-            bestTimedRun(*app, sim::SchedulerMode::Compiled, load,
-                         cmp_metrics, cmp_ok);
+        std::vector<Variant> variants = {
+            Variant(sim::SchedulerMode::Reference),
+            Variant(sim::SchedulerMode::EventDriven),
+            Variant(sim::SchedulerMode::Compiled),
+        };
+        bestTimedRuns(*app, load, variants);
+        const Variant &ref = variants[0];
+        const Variant &evt = variants[1];
+        const Variant &cmp = variants[2];
+        row.refWallMs = ref.bestMs;
+        row.evtWallMs = evt.bestMs;
+        row.cmpWallMs = cmp.bestMs;
+        const benchsuite::RunMetrics &ref_metrics = ref.metrics;
+        const benchsuite::RunMetrics &evt_metrics = evt.metrics;
+        const benchsuite::RunMetrics &cmp_metrics = cmp.metrics;
         // The compiled plan sweeps exactly the event-driven wake set,
         // so its step count must match it, not just the cycles.
         row.verified =
-            ref_ok && evt_ok && cmp_ok &&
+            ref.verified && evt.verified && cmp.verified &&
             ref_metrics.cycles == evt_metrics.cycles &&
             ref_metrics.cycles == cmp_metrics.cycles &&
             cmp_metrics.componentSteps == evt_metrics.componentSteps;

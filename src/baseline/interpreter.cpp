@@ -293,7 +293,8 @@ class GroupExecutor
                 ops.reserve(inst->numOperands());
                 for (const ir::Value *op : inst->operands())
                     ops.push_back(operandValue(wi, op));
-                wi.values[inst] = ir::evalPure(inst, ops, wi.ctx);
+                wi.values[inst] =
+                    ir::evalPure(inst, ops.data(), ops.size(), wi.ctx);
                 ++wi.index;
                 continue;
               }

@@ -1,19 +1,70 @@
 #include "ir/eval.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include "support/error.hpp"
 
 namespace soff::ir
 {
 
+/** Reference-counted element storage; see RtValue for why the count
+ *  is a plain integer. */
+struct RtValueBits::ArrayBlock
+{
+    uint64_t refs = 1;
+    std::vector<RtValue> elems;
+};
+
 RtValue
 RtValue::makeArray(uint64_t count)
 {
     RtValue r;
     r.kind = Kind::Array;
-    r.arr = std::make_shared<std::vector<RtValue>>(count);
+    r.arr = new ArrayBlock{1, std::vector<RtValue>(count)};
     return r;
+}
+
+void
+RtValue::retainArray() const
+{
+    ++arr->refs;
+}
+
+void
+RtValue::releaseArray()
+{
+    if (--arr->refs == 0)
+        delete arr;
+}
+
+uint64_t
+RtValue::arraySize() const
+{
+    SOFF_ASSERT(isArray(), "arraySize of a non-array value");
+    return arr->elems.size();
+}
+
+const RtValue &
+RtValue::element(uint64_t k) const
+{
+    SOFF_ASSERT(isArray() && k < arr->elems.size(),
+                "array extract out of bounds");
+    return arr->elems[k];
+}
+
+void
+RtValue::setElement(uint64_t k, const RtValue &v)
+{
+    SOFF_ASSERT(isArray() && k < arr->elems.size(),
+                "array insert out of bounds");
+    if (arr->refs > 1) {
+        // Copy on write: the sharers keep the old block.
+        auto *own = new ArrayBlock{1, arr->elems};
+        releaseArray();
+        arr = own;
+    }
+    arr->elems[k] = v;
 }
 
 bool
@@ -29,10 +80,10 @@ RtValue::equals(const RtValue &other) const
       case Kind::Float:
         return f == other.f || (std::isnan(f) && std::isnan(other.f));
       case Kind::Array: {
-        if (arr->size() != other.arr->size())
+        if (arraySize() != other.arraySize())
             return false;
-        for (size_t k = 0; k < arr->size(); ++k) {
-            if (!(*arr)[k].equals((*other.arr)[k]))
+        for (uint64_t k = 0; k < arraySize(); ++k) {
+            if (!element(k).equals(other.element(k)))
                 return false;
         }
         return true;
@@ -195,15 +246,18 @@ evalAtomicOp(AtomicOp op, const Type *type, uint64_t current,
 }
 
 RtValue
-evalPure(const Instruction *inst, const std::vector<RtValue> &ops,
+evalPure(const Instruction *inst, const RtValue *ops, size_t count,
          const WorkItemCtx &wi)
 {
+    SOFF_ASSERT(count == inst->numOperands(),
+                std::string("evalPure: operand count mismatch for ") +
+                    opcodeName(inst->op()));
     const Type *ty = inst->type();
-    auto iv = [&](size_t k) { return ops.at(k).i; };
-    auto fv = [&](size_t k) { return ops.at(k).f; };
+    auto iv = [&](size_t k) { return ops[k].i; };
+    auto fv = [&](size_t k) { return ops[k].f; };
     // Signed view of operand k, using that operand's static type.
     auto sv = [&](size_t k) {
-        return signedValue(inst->operand(k)->type(), ops.at(k).i);
+        return signedValue(inst->operand(k)->type(), ops[k].i);
     };
     auto retInt = [&](uint64_t v) {
         return RtValue::makeInt(normalizeInt(ty, v));
@@ -278,7 +332,7 @@ evalPure(const Instruction *inst, const std::vector<RtValue> &ops,
         return RtValue::makeInt(r ? 1 : 0);
       }
       case Opcode::Select:
-        return iv(0) ? ops.at(1) : ops.at(2);
+        return iv(0) ? ops[1] : ops[2];
       case Opcode::Trunc:
       case Opcode::ZExt:
         return retInt(iv(0));
@@ -297,7 +351,7 @@ evalPure(const Instruction *inst, const std::vector<RtValue> &ops,
         return retFloat(static_cast<double>(iv(0)));
       case Opcode::Bitcast: {
         // Only int<->float bit reinterpretation of equal width.
-        if (ty->isFloat() && ops.at(0).isInt()) {
+        if (ty->isFloat() && ops[0].isInt()) {
             if (ty->bits() == 32) {
                 float f;
                 uint32_t b = static_cast<uint32_t>(iv(0));
@@ -310,7 +364,7 @@ evalPure(const Instruction *inst, const std::vector<RtValue> &ops,
             __builtin_memcpy(&d, &b, sizeof(d));
             return RtValue::makeFloat(d);
         }
-        if (ty->isIntOrBool() && ops.at(0).isFloat()) {
+        if (ty->isIntOrBool() && ops[0].isFloat()) {
             const Type *src = inst->operand(0)->type();
             if (src->bits() == 32) {
                 float f = static_cast<float>(fv(0));
@@ -323,7 +377,7 @@ evalPure(const Instruction *inst, const std::vector<RtValue> &ops,
             __builtin_memcpy(&b, &d, sizeof(b));
             return retInt(b);
         }
-        return ops.at(0);
+        return ops[0];
       }
       case Opcode::PtrToInt:
       case Opcode::IntToPtr:
@@ -333,29 +387,21 @@ evalPure(const Instruction *inst, const std::vector<RtValue> &ops,
       case Opcode::LocalAddr:
         return RtValue::makeInt(
             localPtrEncode(inst->localVar()->index()));
-      case Opcode::ArrayExtract: {
-        const auto &a = *ops.at(0).arr;
-        uint64_t idx = iv(1);
-        SOFF_ASSERT(idx < a.size(), "array extract out of bounds");
-        return a[idx];
-      }
+      case Opcode::ArrayExtract:
+        return ops[0].element(iv(1));
       case Opcode::ArrayInsert: {
-        RtValue a = ops.at(0);
-        uint64_t idx = iv(1);
-        SOFF_ASSERT(idx < a.arr->size(), "array insert out of bounds");
-        if (a.arr.use_count() > 1)
-            a.arr = std::make_shared<std::vector<RtValue>>(*a.arr);
-        (*a.arr)[idx] = ops.at(2);
+        RtValue a = ops[0];
+        a.setElement(iv(1), ops[2]);
         return a;
       }
       case Opcode::ArraySplat: {
         RtValue a = RtValue::makeArray(ty->count());
-        for (auto &e : *a.arr)
-            e = ops.at(0);
+        for (uint64_t k = 0; k < ty->count(); ++k)
+            a.setElement(k, ops[0]);
         return a;
       }
       case Opcode::WorkItemInfo: {
-        uint64_t dim = ops.empty() ? 0 : iv(0);
+        uint64_t dim = count == 0 ? 0 : iv(0);
         return retInt(wiQueryValue(inst->wiQuery(), wi, dim));
       }
       case Opcode::MathCall: {
@@ -388,8 +434,8 @@ evalPure(const Instruction *inst, const std::vector<RtValue> &ops,
           }
           default: {
             double a = fv(0);
-            double b = ops.size() > 1 && ops[1].isFloat() ? fv(1) : 0.0;
-            double c = ops.size() > 2 && ops[2].isFloat() ? fv(2) : 0.0;
+            double b = count > 1 && ops[1].isFloat() ? fv(1) : 0.0;
+            double c = count > 2 && ops[2].isFloat() ? fv(2) : 0.0;
             // For f32, evaluate at float precision so the simulator and
             // a host float reference agree.
             if (ty->bits() == 32) {

@@ -11,9 +11,8 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "ir/instruction.hpp"
 
@@ -21,21 +20,83 @@ namespace soff::ir
 {
 
 /**
- * A dynamic value flowing through an execution engine. Integers, bools,
- * and pointers are stored as a 64-bit pattern normalized to the type
- * width; floats as double; SSA arrays (promoted private arrays, paper
- * §III-C) as a copy-on-write buffer.
+ * The payload word and kind of an RtValue. Its copy is trivial: the
+ * union is copied as bytes whichever member is live, which RtValue's
+ * own copy and move build on.
  */
-struct RtValue
+struct RtValueBits
 {
     enum class Kind : uint8_t { Empty, Int, Float, Array };
 
-    Kind kind = Kind::Empty;
-    uint64_t i = 0;
-    double f = 0.0;
-    std::shared_ptr<std::vector<RtValue>> arr;
+    /** Shared element storage of an Array value (see
+     *  RtValue::setElement). */
+    struct ArrayBlock;
 
+    union
+    {
+        uint64_t i = 0;
+        double f;
+        ArrayBlock *arr;
+    };
+    Kind kind = Kind::Empty;
+};
+
+/**
+ * A dynamic value flowing through an execution engine: 16 bytes, a
+ * payload word plus a kind. Integers, bools, and pointers are stored
+ * as a 64-bit pattern normalized to the type width; floats as double;
+ * SSA arrays (promoted private arrays, paper §III-C) as a pointer to a
+ * copy-on-write element block.
+ *
+ * Values are copied and moved on every simulated token transfer, so
+ * the scalar kinds must cost no more than a 16-byte copy: the block's
+ * reference count is touched only when the kind is Array, and it is a
+ * plain integer. An array value never crosses threads on its own — it
+ * lives in one interpreter, one circuit's channels and units, or one
+ * constant-folding pass, and a circuit changes threads only through the
+ * template pool's mutex — so the count needs no atomics.
+ */
+struct RtValue : RtValueBits
+{
     RtValue() = default;
+    RtValue(const RtValue &o) noexcept : RtValueBits(o)
+    {
+        if (kind == Kind::Array)
+            retainArray();
+    }
+    RtValue(RtValue &&o) noexcept : RtValueBits(o)
+    {
+        if (kind == Kind::Array)
+            o.forget();
+    }
+    RtValue &
+    operator=(const RtValue &o) noexcept
+    {
+        if (o.kind == Kind::Array)
+            o.retainArray(); // before the release: self-assignment
+        if (kind == Kind::Array)
+            releaseArray();
+        RtValueBits::operator=(o);
+        return *this;
+    }
+    RtValue &
+    operator=(RtValue &&o) noexcept
+    {
+        if (this == &o)
+            return *this;
+        if (kind == Kind::Array)
+            releaseArray();
+        RtValueBits::operator=(o);
+        if (kind == Kind::Array)
+            o.forget();
+        return *this;
+    }
+    ~RtValue()
+    {
+        if (kind == Kind::Array)
+            releaseArray();
+    }
+
     static RtValue
     makeInt(uint64_t v)
     {
@@ -52,6 +113,7 @@ struct RtValue
         r.f = v;
         return r;
     }
+    /** An array of `count` Empty elements. */
     static RtValue makeArray(uint64_t count);
 
     bool empty() const { return kind == Kind::Empty; }
@@ -59,9 +121,32 @@ struct RtValue
     bool isFloat() const { return kind == Kind::Float; }
     bool isArray() const { return kind == Kind::Array; }
 
+    /** Element count of an Array value. */
+    uint64_t arraySize() const;
+    /** Element k of an Array value. */
+    const RtValue &element(uint64_t k) const;
+    /** Overwrites element k of an Array value, first giving this value
+     *  its own copy of the block when another value shares it. */
+    void setElement(uint64_t k, const RtValue &v);
+
     /** Structural equality (for tests). */
     bool equals(const RtValue &other) const;
+
+  private:
+    void retainArray() const;
+    void releaseArray();
+    /** Drops the block without releasing it (moved-from source). */
+    void
+    forget()
+    {
+        kind = Kind::Empty;
+        i = 0;
+    }
 };
+
+static_assert(sizeof(RtValue) == 16,
+              "RtValue is a payload word plus a kind; tokens and channel "
+              "rings are sized around it");
 
 /** Work-item identity, needed to evaluate WorkItemInfo. */
 struct WorkItemCtx
@@ -91,13 +176,13 @@ int64_t signedValue(const Type *type, uint64_t bits);
 RtValue constantValue(const Constant *c);
 
 /**
- * Evaluates a side-effect-free instruction given already-evaluated
- * operands. Valid for every opcode except Phi, memory accesses, Barrier,
- * Call, and terminators.
+ * Evaluates a side-effect-free instruction given its `count`
+ * already-evaluated operands (one per instruction operand). Valid for
+ * every opcode except Phi, memory accesses, Barrier, Call, and
+ * terminators.
  */
-RtValue evalPure(const Instruction *inst,
-                 const std::vector<RtValue> &operands,
-                 const WorkItemCtx &wi);
+RtValue evalPure(const Instruction *inst, const RtValue *operands,
+                 size_t count, const WorkItemCtx &wi);
 
 /** Applies an AtomicOp to two normalized values of the given type. */
 uint64_t evalAtomicOp(AtomicOp op, const Type *type, uint64_t current,

@@ -42,6 +42,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/fault.hpp"
@@ -68,30 +69,45 @@ enum class PortDir : uint8_t
     Push, ///< The watcher produces into this channel.
 };
 
-/** Type-erased, vtable-free base; owns all per-cycle channel state. */
-class ChannelBase
+/**
+ * Type-erased, vtable-free base; owns all per-cycle channel state.
+ *
+ * One-line layout: every field a push, pop, canPop/canPush, or commit
+ * reads or writes sits in the first 64 bytes, and the class is
+ * 64-byte aligned, so the per-token handshake touches exactly one
+ * cache line of channel state (plus the token slot). Forensics,
+ * fault-injection, and trace fields follow the hot line.
+ */
+class alignas(64) ChannelBase
 {
   public:
     /**
      * Applies this cycle's staged pops/pushes; true if state changed.
      * Non-virtual: commit only moves bookkeeping counters, never token
-     * values, so one monomorphic function serves every Channel<T>.
+     * values, so one monomorphic function serves every Channel<T>. The
+     * token and occupancy counters are folded in here; only a trace
+     * sample leaves the line.
      */
     bool
     commit()
     {
-        bool changed = popped_ || staged_ > 0;
-        uint32_t pushes = staged_;
+        const uint32_t pushes = staged_;
+        const bool changed = popped_ || pushes != 0;
         if (popped_) {
-            head_ = (head_ + 1) % cap_;
+            head_ = head_ + 1 == cap_ ? 0 : head_ + 1;
             --committed_;
             popped_ = false;
         }
-        committed_ += staged_;
+        committed_ += pushes;
         staged_ = 0;
         dirty_ = false;
-        if (changed)
-            noteCommit(pushes);
+        if (changed) {
+            tokens_ += pushes;
+            if (committed_ > maxOcc_)
+                maxOcc_ = committed_;
+            if (tlsTraceOn)
+                traceCommit(); // rare: trace window sampling
+        }
         return changed;
     }
 
@@ -157,10 +173,11 @@ class ChannelBase
     }
 
   protected:
-    explicit ChannelBase(size_t capacity)
-        : cap_(static_cast<uint32_t>(capacity))
+    ChannelBase(size_t capacity, void *storage)
+        : buf_(storage), cap_(static_cast<uint32_t>(capacity))
     {
-        SOFF_ASSERT(capacity >= 1, "channel capacity must be >= 1");
+        SOFF_ASSERT(capacity >= 1 && capacity <= UINT32_MAX,
+                    "channel capacity must be in [1, 2^32)");
     }
     ~ChannelBase() = default; // non-virtual; destroyed via typed thunk
 
@@ -170,35 +187,31 @@ class ChannelBase
      * scheduler sweep (unit tests driving components by hand) they are
      * no-ops. Inline on purpose — they sit inside every push/pop on
      * the hot path — and they read the stepping component's counters
-     * through one thread-local pointer the sweeps redirect per step
-     * (per replica in the batched compiled sweep); thread-local
-     * because CrossCheck runs several simulators on concurrent
-     * threads. The trace sample is the only part that needs the
-     * Component/Simulator definitions, so it stays out-of-line behind
-     * the tlsTraceOn flag the run loops set; noteCommit() folds the
-     * commit into the channel's own token/occupancy counters plus the
-     * trace sink. None of these feed back into scheduling.
+     * and the sweep's cycle through thread-locals the sweeps set (per
+     * replica in the batched compiled sweep), so they touch no channel
+     * field at all; thread-local because CrossCheck runs several
+     * simulators on concurrent threads. The trace sample is the only
+     * part that needs the Component/Simulator definitions, so it stays
+     * out-of-line behind the tlsTraceOn flag the run loops set. None
+     * of these feed back into scheduling.
      */
-    void
+    static void
     notePerfMove(bool out)
     {
         PerfCounters *p = tlsStepPerf;
-        if (p == nullptr || nowPtr_ == nullptr)
+        if (p == nullptr)
             return;
         if (out)
             ++p->tokensOut;
         else
             ++p->tokensIn;
-        if (p->lastMoveCycle != *nowPtr_) {
-            p->lastMoveCycle = *nowPtr_;
+        if (p->lastMoveCycle != tlsNow) {
+            p->lastMoveCycle = tlsNow;
             ++p->busyCycles;
             if (tlsTraceOn)
                 notePerfTrace(); // rare: trace window sampling
         }
     }
-    void notePerfPush() { notePerfMove(/*out=*/true); }
-    void notePerfPop() { notePerfMove(/*out=*/false); }
-    void noteCommit(size_t pushes);
 
     /**
      * Fault-injection hook for canPop()/canPush(): true while an
@@ -207,20 +220,10 @@ class ChannelBase
      * keeps relying on the normal commit wakes; when the gate itself
      * blocks, it arms a timer wake for the querying component at the
      * deterministic clear cycle — otherwise an event-driven scheduler
-     * could sleep through the only cycle that unblocks it.
+     * could sleep through the only cycle that unblocks it. A channel
+     * built without a fault plan never leaves the hot line here.
      */
-    bool
-    faultGate() const
-    {
-        if (faults_ == nullptr)
-            return false;
-        uint64_t clear = 0;
-        if (!faults_->channelBlocked(index_, faultClass_, *nowPtr_,
-                                     &clear))
-            return false;
-        faultRetry(clear);
-        return true;
-    }
+    bool faultGate() const { return faulty_ && faultBlocked(); }
 
     void
     markDirty()
@@ -231,26 +234,43 @@ class ChannelBase
         }
     }
 
-    /** Ring bookkeeping; shared by every Channel<T> instantiation. */
+    // ---- Hot line (bytes 0-63): push, pop, canPop/canPush, commit ----
+    void *buf_;                                    ///< Token ring.
+    std::vector<ChannelBase *> *dirtyList_ = nullptr;
+    uint64_t tokens_ = 0;  ///< Committed pushes over the run.
     uint32_t cap_;
     uint32_t head_ = 0;
     uint32_t committed_ = 0;
     uint32_t staged_ = 0;
+    uint32_t maxOcc_ = 0;  ///< Committed-occupancy high-water mark.
+    uint32_t index_ = 0;   ///< Global creation index.
+    /** Flat watcher span in Simulator::watcherIndices_ (wake sweep). */
+    uint32_t watchOff_ = 0;
+    uint32_t watchCount_ = 0;
     bool popped_ = false;
+    bool dirty_ = false;
+    bool faulty_ = false;  ///< A fault plan is installed (faults_).
+    FaultClass faultClass_ = FaultClass::Data;
+    // ---- End of the hot line ----
 
   private:
     friend class Simulator;
+    /** Test-only view of the layout (sim_unit_test). */
+    friend struct ChannelLayoutProbe;
 
-    /** Out-of-line (needs the Simulator definition): arms the retry
-     *  wake for the component currently being stepped. */
-    void faultRetry(uint64_t clear) const;
+    /** Out-of-line slow path of faultGate (needs the Simulator
+     *  definition to arm the querier's retry wake). */
+    bool faultBlocked() const;
 
     /** Out-of-line slow path of notePerfMove (needs the Component and
      *  Simulator definitions): emits a componentActive trace sample
      *  for the stepping component when its window is open. Reached
      *  only when a trace sink is installed — which forces the generic
      *  sweeps, so tlsStepping is always set here. */
-    void notePerfTrace();
+    static void notePerfTrace();
+
+    /** Out-of-line slow path of commit: the occupancy trace sample. */
+    void traceCommit() const;
 
     // The hook thread-locals are constinit here and at their
     // definitions in simulator.cpp. Without it, every other translation
@@ -266,25 +286,18 @@ class ChannelBase
      *  so the hot hook costs one TLS load and no Component deref. */
     static constinit thread_local PerfCounters *tlsStepPerf;
 
-    /** True while the owning simulator has a trace sink installed
-     *  (set by the run loops; read by notePerfMove). */
-    static constinit thread_local bool tlsTraceOn;
+    /** The cycle the current sweep steps (valid while tlsStepPerf is
+     *  set). */
+    static constinit thread_local uint64_t tlsNow;
 
-    uint64_t tokens_ = 0; ///< Committed pushes over the run.
-    uint64_t maxOcc_ = 0; ///< Committed-occupancy high-water mark.
+    /** True while the owning simulator has a trace sink installed
+     *  (set by the run loops; read by notePerfMove and commit). */
+    static constinit thread_local bool tlsTraceOn;
 
     std::vector<Component *> watchers_;
     std::vector<PortDir> watcherDirs_; ///< Parallel to watchers_.
-    /** Flat watcher span in Simulator::watcherIndices_ (wake sweep). */
-    uint32_t watchOff_ = 0;
-    uint32_t watchCount_ = 0;
-    std::vector<ChannelBase *> *dirtyList_ = nullptr;
-    bool dirty_ = false;
-    uint32_t index_ = 0; ///< Global creation index (commit ordering).
-    Simulator *sim_ = nullptr;          ///< Owning simulator (faults).
-    const uint64_t *nowPtr_ = nullptr;  ///< The simulator's clock.
+    Simulator *sim_ = nullptr;          ///< Owning simulator (faults, trace).
     const FaultPlan *faults_ = nullptr; ///< Null when injection is off.
-    FaultClass faultClass_ = FaultClass::Data;
 };
 
 /** A single-producer single-consumer staged FIFO channel. */
@@ -294,8 +307,7 @@ class Channel : public ChannelBase
   public:
     /** Standalone channel (unit tests, hand-built circuits). */
     explicit Channel(size_t capacity)
-        : ChannelBase(capacity), owned_(new T[capacity]()),
-          buf_(owned_.get())
+        : Channel(capacity, std::make_unique<T[]>(capacity))
     {}
 
     /**
@@ -303,15 +315,14 @@ class Channel : public ChannelBase
      * `capacity` default-constructed slots in the circuit slab. The
      * channel destroys the elements; the arena reclaims the bytes.
      */
-    Channel(size_t capacity, T *storage)
-        : ChannelBase(capacity), buf_(storage)
+    Channel(size_t capacity, T *storage) : ChannelBase(capacity, storage)
     {}
 
     ~Channel()
     {
         if (owned_ == nullptr) {
             for (uint32_t i = 0; i < cap_; ++i)
-                buf_[i].~T();
+                ring()[i].~T();
         }
     }
 
@@ -323,9 +334,48 @@ class Channel : public ChannelBase
     {
         return committed_ > 0 && !popped_ && !faultGate();
     }
-    const T &peek() const { return buf_[head_]; }
-    T
+    const T &peek() const { return ring()[head_]; }
+
+    /**
+     * Takes the head token. The slot itself is returned as an rvalue:
+     * canPop() blocks a second pop until the commit advances head_,
+     * and commit never reads token values, so the slot stays intact
+     * until a later push overwrites it. A caller moves from it (or
+     * forwards it straight into another channel's push) without a
+     * temporary in between.
+     */
+    T &&
     pop()
+    {
+        takeHead();
+        return std::move(ring()[head_]);
+    }
+
+    /** Pops the head token without reading it (the caller already
+     *  consumed it through peek()). */
+    void drop() { takeHead(); }
+
+    /** Producer side: space based on the committed occupancy. */
+    bool canPush() const
+    {
+        return committed_ + staged_ < cap_ && !faultGate();
+    }
+    void push(const T &v) { stageSlot() = v; }
+    void push(T &&v) { stageSlot() = std::move(v); }
+
+    size_t size() const { return committed_; }
+    size_t capacity() const { return cap_; }
+    bool empty() const { return committed_ == 0; }
+
+  private:
+    Channel(size_t capacity, std::unique_ptr<T[]> ring)
+        : ChannelBase(capacity, ring.get()), owned_(std::move(ring))
+    {}
+
+    T *ring() const { return static_cast<T *>(buf_); }
+
+    void
+    takeHead()
     {
         // Occupancy-only assert: canPop() would re-run the fault gate,
         // which is deterministic within a cycle (the guard the caller
@@ -334,38 +384,29 @@ class Channel : public ChannelBase
         SOFF_ASSERT(committed_ > 0 && !popped_, "pop on empty channel");
         popped_ = true;
         markDirty();
-        notePerfPop();
-        // Move out of the slot: canPop() blocks a second pop until the
-        // commit advances head_, and commit never reads token values,
-        // so the moved-from slot is dead until the next push overwrites
-        // it. Saves a deep copy for heap-carrying payloads.
-        return std::move(buf_[head_]);
+        notePerfMove(/*out=*/false);
     }
 
-    /** Producer side: space based on the committed occupancy. */
-    bool canPush() const
+    /** Stages one push and returns its slot for the caller to fill. */
+    T &
+    stageSlot()
     {
-        return committed_ + staged_ < cap_ && !faultGate();
-    }
-    void
-    push(T v)
-    {
-        // Occupancy-only, like pop(): skip the redundant fault-gate
-        // re-evaluation; keep the always-on bounds check.
+        // Occupancy-only, like takeHead(): skip the redundant
+        // fault-gate re-evaluation; keep the always-on bounds check.
         SOFF_ASSERT(committed_ + staged_ < cap_, "push on full channel");
-        buf_[(head_ + committed_ + staged_) % cap_] = std::move(v);
+        // head_ < cap_ and committed_ + staged_ < cap_: one compare
+        // wraps the ring, no division.
+        uint32_t pos = head_ + committed_ + staged_;
+        if (pos >= cap_)
+            pos -= cap_;
+        T &slot = ring()[pos];
         ++staged_;
         markDirty();
-        notePerfPush();
+        notePerfMove(/*out=*/true);
+        return slot;
     }
 
-    size_t size() const { return committed_; }
-    size_t capacity() const { return cap_; }
-    bool empty() const { return committed_ == 0; }
-
-  private:
     std::unique_ptr<T[]> owned_; ///< Null when arena-backed.
-    T *buf_;
 };
 
 } // namespace soff::sim

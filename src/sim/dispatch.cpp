@@ -91,10 +91,11 @@ WorkItemCounter::step(Cycle now)
     for (size_t d = 0; d < terminals_.size(); ++d) {
         Channel<WiToken> *ch = terminals_[d];
         if (ch->canPop()) {
-            WiToken token = ch->pop();
+            const uint64_t wi = ch->peek().wi;
+            ch->drop();
             // A completed work-group frees a dispatcher slot, which is
             // not channel traffic the dispatcher could observe.
-            if (board_->retire(token.wi))
+            if (board_->retire(wi))
                 wakeOther(dispatcher_);
             ++count_;
             DatapathStats &ds = datapathStats_[d];

@@ -35,12 +35,14 @@ Router::step(Cycle)
         return;
     if (orderFifo_ != nullptr && !orderFifo_->canPush())
         return;
-    WiToken popped = in_->pop();
     if (orderFifo_ != nullptr)
-        orderFifo_->push(launch_->ndrange.groupOf(popped.wi));
-    out.ch->push(out.proj != nullptr
-                     ? applyProjection(*out.proj, popped, *launch_)
-                     : std::move(popped));
+        orderFifo_->push(launch_->ndrange.groupOf(token.wi));
+    if (out.proj != nullptr) {
+        out.ch->push(applyProjection(*out.proj, token, *launch_));
+        in_->drop();
+    } else {
+        out.ch->push(in_->pop()); // one move, slot to slot
+    }
 }
 
 void
@@ -69,7 +71,7 @@ SelectUnit::step(Cycle)
             if (in.ch->canPop() &&
                 launch_->ndrange.groupOf(in.ch->peek().wi) == group) {
                 out_->push(in.ch->pop());
-                orderFifo_->pop();
+                orderFifo_->drop();
                 return;
             }
         }

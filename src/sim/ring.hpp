@@ -43,11 +43,13 @@ template <typename T> class RingQueue
         ++size_;
     }
 
-    template <typename... Args> void emplace_back(Args &&...args)
+    /** Appends a slot and returns it for the caller to fill in place.
+     *  It holds a default value: pop_front and clear reset every slot
+     *  they release. */
+    T &append()
     {
         ensureRoom();
-        buf_[wrap(head_ + size_)] = T{std::forward<Args>(args)...};
-        ++size_;
+        return buf_[wrap(head_ + size_++)];
     }
 
     T &front()

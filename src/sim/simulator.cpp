@@ -10,14 +10,19 @@
 namespace soff::sim
 {
 
-void
-ChannelBase::faultRetry(uint64_t clear) const
+bool
+ChannelBase::faultBlocked() const
 {
+    uint64_t clear = 0;
+    if (!faults_->channelBlocked(index_, faultClass_, sim_->now(), &clear))
+        return false;
     sim_->faultRetryAt(clear);
+    return true;
 }
 
 constinit thread_local Component *ChannelBase::tlsStepping = nullptr;
 constinit thread_local PerfCounters *ChannelBase::tlsStepPerf = nullptr;
+constinit thread_local uint64_t ChannelBase::tlsNow = 0;
 constinit thread_local bool ChannelBase::tlsTraceOn = false;
 
 void
@@ -31,22 +36,18 @@ ChannelBase::notePerfTrace()
     if (c == nullptr || c->sim_ == nullptr)
         return;
     TraceSink *sink = c->sim_->traceSink();
-    if (sink != nullptr && sink->inWindow(*nowPtr_))
-        sink->componentActive(c->index_, *nowPtr_);
+    if (sink != nullptr && sink->inWindow(tlsNow))
+        sink->componentActive(c->index_, tlsNow);
 }
 
 void
-ChannelBase::noteCommit(size_t pushes)
+ChannelBase::traceCommit() const
 {
-    tokens_ += pushes;
-    uint64_t occ = occupancy();
-    if (occ > maxOcc_)
-        maxOcc_ = occ;
-    if (sim_ != nullptr) {
-        TraceSink *sink = sim_->traceSink();
-        if (sink != nullptr && sink->inWindow(*nowPtr_))
-            sink->channelSample(index_, *nowPtr_, occ);
-    }
+    if (sim_ == nullptr)
+        return;
+    TraceSink *sink = sim_->traceSink();
+    if (sink != nullptr && sink->inWindow(sim_->now()))
+        sink->channelSample(index_, sim_->now(), committed_);
 }
 
 void
@@ -363,9 +364,9 @@ Simulator::finalize()
     seedWakes();
     // Compiled mode: lower the circuit into a specialized step plan.
     // Fault injection needs the generic sweep cursor for retry wakes,
-    // and tracing relies on generic per-channel commit ordering, so
-    // either forces a full fallback to the plain event-driven loop
-    // (plan_ stays null and Compiled == EventDriven).
+    // and tracing attributes activity through the generic sweep's
+    // tlsStepping, so either forces a full fallback to the plain
+    // event-driven loop (plan_ stays null and Compiled == EventDriven).
     if (mode_ == SchedulerMode::Compiled && faultPlan_ == nullptr &&
         traceSink_ == nullptr)
         buildCompiledPlan();
@@ -510,13 +511,13 @@ Simulator::stepWakeList()
 void
 Simulator::commitDirtyChannels()
 {
-    // Fixed global order, so results never depend on which endpoint
-    // staged first. A commit never stages, so the list cannot grow
-    // while it is walked.
-    std::sort(dirtyChannels_.begin(), dirtyChannels_.end(),
-              [](const ChannelBase *a, const ChannelBase *b) {
-                  return a->index_ < b->index_;
-              });
+    // First-touch order, unsorted: commit order is unobservable. A
+    // commit touches only its own channel (a trace sink keeps one
+    // sample vector per channel, and a channel commits at most once a
+    // cycle), and the wakes it raises are sets — the next list is
+    // sorted at gather, and plan buckets are swept in id order with an
+    // unobservable order inside a bucket. A commit never stages, so
+    // the list cannot grow while it is walked.
     // Under a compiled plan, boundary-channel commits are the main
     // wake source for its members in memory-heavy circuits; those
     // wakes go straight into the plan's buckets instead of bouncing

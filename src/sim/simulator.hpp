@@ -270,8 +270,8 @@ class Simulator
         auto *raw = new (mem) Channel<T>(capacity, storage);
         raw->index_ = static_cast<uint32_t>(channels_.size());
         raw->sim_ = this;
-        raw->nowPtr_ = &now_;
         raw->faults_ = faultPlan_;
+        raw->faulty_ = faultPlan_ != nullptr;
         raw->bindDirtyList(&dirtyChannels_);
         channels_.push_back(raw);
         channelDtors_.push_back([](ChannelBase *ch) {
@@ -450,6 +450,7 @@ class Simulator
     static void
     stepManyBody(Component *const *batch, uint32_t n, Cycle now)
     {
+        ChannelBase::tlsNow = now;
         for (uint32_t i = 0; i < n; ++i) {
             T *c = static_cast<T *>(batch[i]);
             ChannelBase::tlsStepPerf = &c->perf_;

@@ -124,15 +124,19 @@ struct Flit
     ir::RtValue val;
 };
 
+static_assert(sizeof(Flit) == 24,
+              "a Flit is a work-item id plus one 16-byte RtValue");
+
 /**
  * A live-variable bundle on an inter-pipeline channel. Live sets are
- * short (§IV-B live-variable layouts), so the common widths stay inline
- * in the token — moving a WiToken through a channel does not allocate.
+ * short (§IV-B live-variable layouts), so up to eight values stay
+ * inline in the token (160 bytes) — moving a WiToken through a channel
+ * does not allocate unless its layout is wider.
  */
 struct WiToken
 {
     uint64_t wi = 0;
-    SmallVec<ir::RtValue, 4> live;
+    SmallVec<ir::RtValue, 8> live;
 };
 
 /** A memory request from a functional unit / cache. */

@@ -73,7 +73,8 @@ SourceUnit::step(Cycle)
         if (!out.ch->canPush())
             return;
     }
-    WiToken token = in_->pop();
+    // Fan the live values out straight from the input's head slot.
+    const WiToken &token = in_->peek();
     for (const Out &out : outs_) {
         Flit flit;
         flit.wi = token.wi;
@@ -85,6 +86,7 @@ SourceUnit::step(Cycle)
         }
         out.ch->push(std::move(flit));
     }
+    in_->drop();
 }
 
 void
@@ -111,7 +113,7 @@ SinkUnit::step(Cycle)
     token.live.resize(layoutSize_);
     bool first = true;
     for (const In &in : ins_) {
-        Flit flit = in.ch->pop();
+        Flit &&flit = in.ch->pop();
         if (first) {
             token.wi = flit.wi;
             first = false;
@@ -143,7 +145,11 @@ ComputeUnit::ComputeUnit(const std::string &name,
     : Component(name), inst_(inst), latency_(latency), launch_(launch),
       readsWorkItem_(inst->op() == ir::Opcode::WorkItemInfo),
       capacity_(static_cast<size_t>(latency) + 1)
-{}
+{
+    SOFF_ASSERT(inst->numOperands() <= kMaxOperands,
+                "compute unit with more operands than an issue slot: " +
+                    name);
+}
 
 void
 ComputeUnit::addInput(Channel<Flit> *ch, const ir::Value *value)
@@ -183,8 +189,12 @@ ComputeUnit::stepBody(Cycle now)
                 all_ready = false;
         }
         if (all_ready) {
-            for (Channel<Flit> *out : outs_)
-                out->push(pipe_.front().flit);
+            // Copies to every consumer but the last, which takes it.
+            Flit &result = pipe_.front().flit;
+            for (size_t k = 1; k < outs_.size(); ++k)
+                outs_[k - 1]->push(result);
+            if (!outs_.empty())
+                outs_.back()->push(std::move(result));
             pipe_.pop_front();
         }
     }
@@ -195,32 +205,32 @@ ComputeUnit::stepBody(Cycle now)
         if (!in.ch->canPop())
             return;
     }
-    std::vector<Flit> &flits = flitScratch_;
-    flits.clear();
-    uint64_t wi = 0;
-    for (size_t i = 0; i < ins_.size(); ++i) {
-        flits.push_back(ins_[i].ch->pop());
-        if (i == 0)
-            wi = flits[0].wi;
-        else
-            SOFF_ASSERT(flits[i].wi == wi,
-                        "unit received misaligned work-items: " + name());
-    }
     if (!opPlanFresh_)
         refreshOperandPlan();
-    std::vector<ir::RtValue> &ops = opScratch_;
-    ops.clear();
-    for (const OperandSlot &s : opPlan_)
-        ops.push_back(s.src == OperandSlot::Src::Input ? flits[s.input].val
-                                                       : s.value);
+    // Operands come straight from the input heads (or the plan's
+    // pre-evaluated values) into a fixed on-stack issue slot.
+    ir::RtValue ops[kMaxOperands];
+    const size_t n_ops = opPlan_.size();
+    for (size_t k = 0; k < n_ops; ++k) {
+        const OperandSlot &s = opPlan_[k];
+        ops[k] = s.src == OperandSlot::Src::Input
+                     ? ins_[s.input].ch->peek().val
+                     : s.value;
+    }
+    const uint64_t wi = ins_.empty() ? 0 : ins_[0].ch->peek().wi;
+    for (const In &in : ins_) {
+        SOFF_ASSERT(in.ch->peek().wi == wi,
+                    "unit received misaligned work-items: " + name());
+        in.ch->drop();
+    }
     if (readsWorkItem_)
         wiCtx_ = launch_->ndrange.ctxOf(wi);
-    Flit result;
-    result.wi = wi;
+    // The result lands in its pipeline stage in place.
+    Stage &stage = pipe_.append();
+    stage.ready = now + static_cast<Cycle>(latency_);
+    stage.flit.wi = wi;
     if (!inst_->type()->isVoid())
-        result.val = ir::evalPure(inst_, ops, wiCtx_);
-    pipe_.push_back({now + static_cast<Cycle>(latency_),
-                     std::move(result)});
+        stage.flit.val = ir::evalPure(inst_, ops, n_ops, wiCtx_);
 }
 
 void
@@ -321,23 +331,20 @@ MemUnit::step(Cycle)
         if (!in.ch->canPop())
             return;
     }
-    // Peek-compute the request; atomics must win their lock first.
-    std::vector<Flit> &flits = flitScratch_;
-    flits.clear();
-    for (const In &in : ins_)
-        flits.push_back(in.ch->peek());
-    uint64_t wi = flits.empty() ? 0 : flits[0].wi;
-
+    // Peek-compute the request straight from the input heads; atomics
+    // must win their lock before anything is popped.
     if (!opPlanFresh_)
         refreshOperandPlan();
-    std::vector<ir::RtValue> &ops = opScratch_;
-    ops.clear();
-    for (const OperandSlot &s : opPlan_)
-        ops.push_back(s.src == OperandSlot::Src::Input ? flits[s.input].val
-                                                       : s.value);
+    auto operand = [this](size_t k) -> const ir::RtValue & {
+        const OperandSlot &s = opPlan_[k];
+        return s.src == OperandSlot::Src::Input
+                   ? ins_[s.input].ch->peek().val
+                   : s.value;
+    };
+    const uint64_t wi = ins_.empty() ? 0 : ins_[0].ch->peek().wi;
 
     MemReq req;
-    req.addr = ops.at(0).i;
+    req.addr = operand(0).i;
     int lock_index = -1;
     const ir::Type *elem = inst_->op() == ir::Opcode::Store
                                ? inst_->operand(1)->type()
@@ -367,17 +374,17 @@ MemUnit::step(Cycle)
         break;
       case ir::Opcode::Store:
         req.op = MemReq::Op::Store;
-        req.data = bitsOf(ops.at(1), elem);
+        req.data = bitsOf(operand(1), elem);
         break;
       case ir::Opcode::AtomicRMW:
         req.op = MemReq::Op::AtomicRMW;
         req.aop = inst_->atomicOp();
-        req.data = bitsOf(ops.at(1), elem);
+        req.data = bitsOf(operand(1), elem);
         break;
       case ir::Opcode::AtomicCmpXchg:
         req.op = MemReq::Op::AtomicCmpXchg;
-        req.data = bitsOf(ops.at(1), elem);
-        req.data2 = bitsOf(ops.at(2), elem);
+        req.data = bitsOf(operand(1), elem);
+        req.data2 = bitsOf(operand(2), elem);
         break;
       default:
         SOFF_ASSERT(false, "MemUnit with non-memory instruction");
@@ -397,9 +404,9 @@ MemUnit::step(Cycle)
     blockedOnLock_ = -1;
     // Commit the input pops.
     for (const In &in : ins_) {
-        Flit f = in.ch->pop();
-        SOFF_ASSERT(f.wi == wi,
+        SOFF_ASSERT(in.ch->peek().wi == wi,
                     "unit received misaligned work-items: " + name());
+        in.ch->drop();
     }
     req_->push(req);
     inflight_.push_back({wi, lock_index});
@@ -486,7 +493,6 @@ BarrierUnit::step(Cycle)
         overflow_ = true;
         return;
     }
-    WiToken token = in_->pop();
     if (bucket == nullptr) {
         bucket = unused;
         bucket->used = true;
@@ -494,7 +500,7 @@ BarrierUnit::step(Cycle)
         bucket->items.clear();
         ++waitingGroups_;
     }
-    bucket->items.push_back(std::move(token));
+    bucket->items.push_back(in_->pop());
     if (bucket->items.size() == launch_->ndrange.groupSize()) {
         for (WiToken &t : bucket->items)
             releasing_.push_back(std::move(t));

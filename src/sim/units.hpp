@@ -158,6 +158,10 @@ class ComputeUnit : public Component
     void stepBody(Cycle now);
     void refreshOperandPlan();
 
+    /** Widest pure instruction (select, fma, clamp) plus headroom:
+     *  the size of the on-stack operand set an issue fills. */
+    static constexpr size_t kMaxOperands = 4;
+
     const ir::Instruction *inst_;
     int latency_;
     const LaunchContext *launch_;
@@ -186,9 +190,6 @@ class ComputeUnit : public Component
     std::vector<OperandSlot> opPlan_;
     bool opPlanBuilt_ = false;
     bool opPlanFresh_ = false;
-    /** Per-step scratch (members so steady-state steps never allocate). */
-    std::vector<Flit> flitScratch_;
-    std::vector<ir::RtValue> opScratch_;
 };
 
 /**
@@ -288,9 +289,6 @@ class MemUnit : public Component
     std::vector<OperandSlot> opPlan_;
     bool opPlanBuilt_ = false;
     bool opPlanFresh_ = false;
-    /** Per-step scratch (members so steady-state steps never allocate). */
-    std::vector<Flit> flitScratch_;
-    std::vector<ir::RtValue> opScratch_;
 };
 
 /**

@@ -5,7 +5,10 @@
  */
 #include "transform/passes.hpp"
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "support/error.hpp"
 #include "transform/util.hpp"
@@ -209,6 +212,51 @@ findCall(const ir::Kernel &kernel, ir::BasicBlock **bb_out, size_t *idx_out)
     return false;
 }
 
+/**
+ * Rejects a recursive call chain reachable from `kernel` before any
+ * inlining: one depth-first walk over the call graph, where reaching a
+ * function that is still on the walk's path closes a cycle. The error
+ * names the cycle (f -> g -> f).
+ */
+void
+rejectRecursion(const ir::Kernel &kernel)
+{
+    enum class Mark : uint8_t { OnPath, Done };
+    std::map<const ir::Kernel *, Mark> marks;
+    std::vector<const ir::Kernel *> path;
+    auto visit = [&](auto &self, const ir::Kernel *fn) -> void {
+        marks[fn] = Mark::OnPath;
+        path.push_back(fn);
+        for (const auto &bb : fn->blocks()) {
+            for (const auto &inst : bb->instructions()) {
+                if (inst->op() != ir::Opcode::Call)
+                    continue;
+                const ir::Kernel *callee = inst->callee();
+                if (callee == nullptr)
+                    continue;
+                auto it = marks.find(callee);
+                if (it == marks.end()) {
+                    self(self, callee);
+                    continue;
+                }
+                if (it->second == Mark::Done)
+                    continue;
+                std::string cycle;
+                auto from = std::find(path.begin(), path.end(), callee);
+                for (; from != path.end(); ++from)
+                    cycle += (*from)->name() + " -> ";
+                throw CompileError(
+                    "kernel '" + kernel.name() + "': recursive call chain " +
+                    cycle + callee->name() +
+                    "; recursion is not supported in OpenCL C");
+            }
+        }
+        path.pop_back();
+        marks[fn] = Mark::Done;
+    };
+    visit(visit, &kernel);
+}
+
 } // namespace
 
 void
@@ -217,15 +265,17 @@ inlineFunctions(ir::Module &module)
     for (const auto &kernel : module.kernels()) {
         if (!kernel->isKernel())
             continue;
+        rejectRecursion(*kernel);
+        // Backstop for non-recursive blow-up (a deep call tree whose
+        // fully inlined size explodes); recursion was rejected above.
         int budget = 10000;
         ir::BasicBlock *bb;
         size_t idx;
         while (findCall(*kernel, &bb, &idx)) {
             if (--budget == 0) {
-                throw CompileError(
-                    "kernel '" + kernel->name() +
-                    "': runaway inlining (recursive call chain?); "
-                    "recursion is not supported in OpenCL C");
+                throw CompileError("kernel '" + kernel->name() +
+                                   "': more than 10000 call sites to "
+                                   "inline");
             }
             CallSiteInliner(*kernel, bb, idx).run();
         }

@@ -94,7 +94,8 @@ foldConstants(ir::Kernel &kernel)
                     static_cast<const ir::Constant *>(op)));
             }
             ir::WorkItemCtx wi;
-            ir::RtValue result = ir::evalPure(inst.get(), ops, wi);
+            ir::RtValue result =
+                ir::evalPure(inst.get(), ops.data(), ops.size(), wi);
             ir::Constant *c;
             if (result.isFloat())
                 c = module.constantFloat(inst->type(), result.f);

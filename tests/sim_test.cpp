@@ -3,10 +3,12 @@
  *  reference interpreter and host-computed expectations. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "runtime/runtime.hpp"
+#include "scoped_env.hpp"
 #include "support/rng.hpp"
 
 namespace soff
@@ -202,37 +204,70 @@ TEST(Sim, AtomicsHistogram)
         EXPECT_EQ(h[b], expect[b]) << "bin " << b;
 }
 
-TEST(Sim, PrivateArrayStencil)
+/** A median-of-3 window held in a private array: the one kernel shape
+ *  that carries an array value through the circuit (paper §III-C
+ *  promotes the whole array to an SSA value). */
+const char *const kMed3Source =
+    "__kernel void med3(__global float* A, __global float* B, int n) {\n"
+    "  int i = get_global_id(0);\n"
+    "  float w[3];\n"
+    "  for (int k = 0; k < 3; k++) {\n"
+    "    int j = i + k - 1;\n"
+    "    if (j < 0) j = 0;\n"
+    "    if (j >= n) j = n - 1;\n"
+    "    w[k] = A[j];\n"
+    "  }\n"
+    "  B[i] = fmax(fmin(w[0], w[1]),\n"
+    "              fmin(fmax(w[0], w[1]), w[2]));\n"
+    "}\n";
+
+struct Med3Run
 {
-    const char *src =
-        "__kernel void med3(__global float* A, __global float* B, int n) {\n"
-        "  int i = get_global_id(0);\n"
-        "  float w[3];\n"
-        "  for (int k = 0; k < 3; k++) {\n"
-        "    int j = i + k - 1;\n"
-        "    if (j < 0) j = 0;\n"
-        "    if (j >= n) j = n - 1;\n"
-        "    w[k] = A[j];\n"
-        "  }\n"
-        "  B[i] = fmax(fmin(w[0], w[1]),\n"
-        "              fmin(fmax(w[0], w[1]), w[2]));\n"
-        "}\n";
-    Context ctx;
-    Program prog = ctx.buildProgram(src);
+    std::vector<float> out;
+    uint64_t cycles = 0;
+};
+
+/** Launches med3 over `a` on `prog` (fresh buffers each time). */
+Med3Run
+runMed3(Context &ctx, Program &prog, const std::vector<float> &a,
+        ExecutionMode mode = ExecutionMode::Simulate,
+        sim::SchedulerMode scheduler = sim::SchedulerMode::Compiled)
+{
+    const uint64_t n = a.size();
     auto kernel = prog.createKernel("med3");
-    const uint64_t n = 96;
-    std::vector<float> a(n), b(n);
-    SplitMix64 rng(5);
-    for (auto &v : a)
-        v = rng.nextFloat();
     Buffer ba = ctx.createBuffer(n * 4);
     Buffer bb = ctx.createBuffer(n * 4);
     ctx.writeBuffer(ba, a.data(), n * 4);
     kernel.setArg(0, ba);
     kernel.setArg(1, bb);
     kernel.setArg(2, static_cast<int32_t>(n));
-    ctx.enqueueNDRange(kernel, range1d(n, 32));
-    ctx.readBuffer(bb, b.data(), n * 4);
+    sim::PlatformConfig platform;
+    platform.scheduler = scheduler;
+    Med3Run run;
+    run.cycles =
+        ctx.enqueueNDRange(kernel, range1d(n, 32), mode, platform).cycles;
+    run.out.resize(n);
+    ctx.readBuffer(bb, run.out.data(), n * 4);
+    return run;
+}
+
+std::vector<float>
+med3Inputs()
+{
+    std::vector<float> a(96);
+    SplitMix64 rng(5);
+    for (auto &v : a)
+        v = rng.nextFloat();
+    return a;
+}
+
+TEST(Sim, PrivateArrayStencil)
+{
+    Context ctx;
+    Program prog = ctx.buildProgram(kMed3Source);
+    const std::vector<float> a = med3Inputs();
+    const uint64_t n = a.size();
+    std::vector<float> b = runMed3(ctx, prog, a).out;
     for (uint64_t i = 0; i < n; ++i) {
         float w0 = a[i == 0 ? 0 : i - 1];
         float w1 = a[i];
@@ -241,6 +276,38 @@ TEST(Sim, PrivateArrayStencil)
                                 std::min(std::max(w0, w1), w2));
         EXPECT_FLOAT_EQ(b[i], expect) << "at " << i;
     }
+}
+
+TEST(Sim, PrivateArrayAgreesAcrossSchedulersEnginesAndRelaunch)
+{
+    // Array values are the only RtValues with a shared, reference-
+    // counted payload, and no benchmark app carries one, so the
+    // stencil runs on every path that moves them: the three schedulers,
+    // the reference interpreter, and a relaunch of a pooled circuit.
+    // Fault injection bypasses the template pool and SOFF_SCHEDULER
+    // would override the compiled legs, so both are pinned off.
+    ScopedEnv faults("SOFF_FAULTS", nullptr);
+    ScopedEnv scheduler("SOFF_SCHEDULER", nullptr);
+    Context ctx;
+    Program prog = ctx.buildProgram(kMed3Source);
+    const std::vector<float> a = med3Inputs();
+    const Med3Run compiled = runMed3(ctx, prog, a);
+    ASSERT_GT(compiled.cycles, 0u);
+    const Med3Run pooled = runMed3(ctx, prog, a);
+    EXPECT_GE(prog.templatePoolStats().hits, 1u)
+        << "the second launch must relaunch a parked circuit";
+    const Med3Run reference =
+        runMed3(ctx, prog, a, ExecutionMode::Simulate,
+                sim::SchedulerMode::Reference);
+    const Med3Run event =
+        runMed3(ctx, prog, a, ExecutionMode::Simulate,
+                sim::SchedulerMode::EventDriven);
+    const Med3Run interp = runMed3(ctx, prog, a, ExecutionMode::Reference);
+    for (const Med3Run *run : {&pooled, &reference, &event}) {
+        EXPECT_EQ(run->cycles, compiled.cycles);
+        EXPECT_EQ(run->out, compiled.out);
+    }
+    EXPECT_EQ(interp.out, compiled.out);
 }
 
 TEST(Sim, BreakContinueLoop)

@@ -3,14 +3,77 @@
  *  arithmetic, and barrier/glue components in isolation. */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "sim/glue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
 
 namespace soff::sim
 {
+
+/** Reads ChannelBase's private layout (the class befriends it). */
+struct ChannelLayoutProbe
+{
+    struct Field
+    {
+        const char *name;
+        size_t offset; ///< Bytes from the start of the channel object.
+        size_t size;
+    };
+
+    /** Every field a push, pop, canPop/canPush, or commit touches. */
+    template <typename T>
+    static std::vector<Field>
+    hotFields(const Channel<T> &ch)
+    {
+        const ChannelBase &b = ch;
+        auto at = [&ch](const char *name, const auto &field) {
+            return Field{name,
+                         static_cast<size_t>(
+                             reinterpret_cast<const char *>(&field) -
+                             reinterpret_cast<const char *>(&ch)),
+                         sizeof(field)};
+        };
+        return {at("buf_", b.buf_),
+                at("dirtyList_", b.dirtyList_),
+                at("tokens_", b.tokens_),
+                at("cap_", b.cap_),
+                at("head_", b.head_),
+                at("committed_", b.committed_),
+                at("staged_", b.staged_),
+                at("maxOcc_", b.maxOcc_),
+                at("index_", b.index_),
+                at("watchOff_", b.watchOff_),
+                at("watchCount_", b.watchCount_),
+                at("popped_", b.popped_),
+                at("dirty_", b.dirty_),
+                at("faulty_", b.faulty_),
+                at("faultClass_", b.faultClass_)};
+    }
+};
+
 namespace
 {
+
+TEST(Channel, HotFieldsShareOneCacheLine)
+{
+    // The per-token handshake must touch one 64-byte line of channel
+    // state: the object starts on a line boundary and every hot field
+    // ends within its first 64 bytes. Checked on a live arena-backed
+    // channel (the simulator's) and on a standalone one.
+    Simulator sim(SchedulerMode::EventDriven);
+    Channel<Flit> *arena = sim.channel<Flit>(2);
+    Channel<Flit> standalone(3);
+    for (const Channel<Flit> *ch : {arena, &standalone}) {
+        EXPECT_EQ(reinterpret_cast<uintptr_t>(ch) % 64, 0u);
+        for (const auto &f : ChannelLayoutProbe::hotFields(*ch)) {
+            EXPECT_LE(f.offset + f.size, 64u)
+                << f.name << " at byte " << f.offset;
+        }
+    }
+}
 
 TEST(Channel, PushVisibleNextCycleOnly)
 {

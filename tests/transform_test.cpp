@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "frontend/irgen.hpp"
+#include "ir/builder.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
 #include "support/error.hpp"
@@ -68,6 +69,51 @@ TEST(Inliner, RecursionRejected)
         "__kernel void k(__global int* A) { A[0] = f(A[1]); }",
         "test");
     EXPECT_THROW(runStandardPipeline(*module), CompileError);
+}
+
+TEST(Inliner, MutualRecursionRejectedNamingTheCycle)
+{
+    // OpenCL C source cannot express f -> g -> f (the frontend has no
+    // prototypes), so the call graph is built directly in IR.
+    ir::Module m("t");
+    auto &t = m.types();
+    ir::IRBuilder b(m);
+    ir::Kernel *f = m.addKernel("f", false, t.i32());
+    ir::Kernel *g = m.addKernel("g", false, t.i32());
+    ir::Kernel *k = m.addKernel("k", true, t.voidTy());
+    ir::Value *fx = f->addArgument(t.i32(), "x");
+    ir::Value *gx = g->addArgument(t.i32(), "x");
+    b.setInsertPoint(f->addBlock("entry"));
+    b.createRet(b.createCall(g, {fx}));
+    b.setInsertPoint(g->addBlock("entry"));
+    b.createRet(b.createCall(f, {gx}));
+    b.setInsertPoint(k->addBlock("entry"));
+    b.createCall(f, {b.constInt(t.i32(), 3)});
+    b.createRet(nullptr);
+    try {
+        inlineFunctions(m);
+        FAIL() << "mutual recursion must be a CompileError";
+    } catch (const CompileError &e) {
+        EXPECT_NE(std::string(e.what()).find("f -> g -> f"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Inliner, NonRecursiveDiamondInlines)
+{
+    // f calls g twice and g calls h: h is reached along two paths, but
+    // that is sharing, not a cycle.
+    auto m = compileAndLower(
+        "int h(int x) { return x * 3; }\n"
+        "int g(int x) { return h(x) + 1; }\n"
+        "int f(int x) { return g(x) + g(x + 1); }\n"
+        "__kernel void k(__global int* A) {\n"
+        "  int i = get_global_id(0);\n"
+        "  A[i] = f(A[i]);\n"
+        "}");
+    ASSERT_EQ(m->numKernels(), 1u);
+    EXPECT_FALSE(containsOpcode(*m->kernel(0), ir::Opcode::Call));
 }
 
 TEST(Mem2Reg, EliminatesAllSlots)
