@@ -235,8 +235,8 @@ class Forwarder : public soff::sim::Component
               soff::sim::Channel<uint64_t> *out)
         : Component("fwd"), in_(in), out_(out)
     {
-        watch(in_, soff::sim::PortDir::Pop);
-        watch(out_, soff::sim::PortDir::Push);
+        watch(in_);
+        watch(out_);
     }
     void
     step(soff::sim::Cycle) override
@@ -262,7 +262,7 @@ class ChainSource : public soff::sim::Component
     ChainSource(soff::sim::Channel<uint64_t> *out, uint64_t n)
         : Component("chainsrc"), out_(out), n_(n)
     {
-        watch(out_, soff::sim::PortDir::Push);
+        watch(out_);
     }
     void
     step(soff::sim::Cycle) override
@@ -290,7 +290,7 @@ class ChainSink : public soff::sim::Component
     ChainSink(soff::sim::Channel<uint64_t> *in, uint64_t n)
         : Component("chainsink"), in_(in), n_(n)
     {
-        watch(in_, soff::sim::PortDir::Pop);
+        watch(in_);
     }
     void
     step(soff::sim::Cycle) override
@@ -367,23 +367,24 @@ BM_WakePropagation(benchmark::State &state)
 BENCHMARK(BM_WakePropagation)->Arg(16)->Arg(128);
 
 void
-BM_LevelizedSweep(benchmark::State &state)
+BM_CompiledSweep(benchmark::State &state)
 {
-    // The same chain under the compiled plan: one fused segment swept
-    // in dataflow order, no per-cycle wake-list sort or per-watcher
-    // wake bookkeeping. Compare against BM_WakePropagation at equal
-    // depth for the specialization win.
+    // The same chain under the compiled plan: commits drop member
+    // wakes straight into their buckets (no next-list round trip or
+    // per-cycle wake-list sort), and each bucket steps in one call.
+    // Compare against BM_WakePropagation at equal depth for the plan's
+    // win on the scheduler machinery alone.
     runChainBench(state, soff::sim::SchedulerMode::Compiled);
 }
-BENCHMARK(BM_LevelizedSweep)->Arg(16)->Arg(128);
+BENCHMARK(BM_CompiledSweep)->Arg(16)->Arg(128);
 
 void
 BM_BatchedStep(benchmark::State &state)
 {
-    // `lanes` identical pipeline chains on one simulator: same-kind
-    // components land at the same level, so every (level, thunk)
-    // bucket holds `lanes` replicas, and one stepMany call steps all
-    // awake replicas of a bucket.
+    // `lanes` identical pipeline chains on one simulator: each
+    // component type's bucket holds that type's components from all
+    // `lanes` chains, and one stepMany call steps all awake replicas
+    // of a bucket.
     const int lanes = static_cast<int>(state.range(0));
     constexpr int kDepth = 16;
     constexpr uint64_t kTokens = 256;
@@ -421,53 +422,6 @@ BM_BatchedStep(benchmark::State &state)
                             static_cast<uint64_t>(lanes));
 }
 BENCHMARK(BM_BatchedStep)->Arg(8)->Arg(64);
-
-void
-BM_LaneWalk(benchmark::State &state)
-{
-    // Lane-layout counterbench: the batched sweep touches one 8-byte
-    // Component* lane per position. Walking a 24-byte row (a component
-    // pointer beside a step and a holds-work function pointer) drags 3x
-    // the bytes through the cache for the same traversal. Measures the
-    // memory-side motivation for the SoA split, independent of the
-    // simulator. Arg is the position count.
-    struct WideRow
-    {
-        void *comp;
-        void *stepFn;
-        void *holdsFn;
-    };
-    const size_t n = static_cast<size_t>(state.range(0));
-    const bool wide = state.range(1) != 0;
-    std::vector<void *> lane(n);
-    std::vector<WideRow> rows(n);
-    std::vector<uint64_t> payload(n, 1);
-    for (size_t i = 0; i < n; ++i) {
-        lane[i] = &payload[i];
-        rows[i] = {&payload[i], nullptr, nullptr};
-    }
-    uint64_t sum = 0;
-    for (auto _ : state) {
-        if (wide) {
-            for (size_t i = 0; i < n; ++i)
-                sum += *static_cast<uint64_t *>(rows[i].comp);
-        } else {
-            for (size_t i = 0; i < n; ++i)
-                sum += *static_cast<uint64_t *>(lane[i]);
-        }
-        benchmark::DoNotOptimize(sum);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(n));
-    state.SetBytesProcessed(
-        state.iterations() * static_cast<int64_t>(n) *
-        static_cast<int64_t>(wide ? sizeof(WideRow) : sizeof(void *)));
-}
-BENCHMARK(BM_LaneWalk)
-    ->Args({1 << 16, 0})
-    ->Args({1 << 16, 1})
-    ->Args({1 << 20, 0})
-    ->Args({1 << 20, 1});
 
 void
 BM_InterpreterVadd(benchmark::State &state)
@@ -518,7 +472,7 @@ class TokenSource : public soff::sim::Component
     TokenSource(soff::sim::Channel<soff::sim::WiToken> *out, uint64_t n)
         : Component("tokensrc"), out_(out), n_(n)
     {
-        watch(out_, soff::sim::PortDir::Push);
+        watch(out_);
     }
     void
     step(soff::sim::Cycle) override
@@ -554,7 +508,7 @@ class TokenSink : public soff::sim::Component
     TokenSink(soff::sim::Channel<soff::sim::WiToken> *in, uint64_t n)
         : Component("tokensink"), in_(in), n_(n)
     {
-        watch(in_, soff::sim::PortDir::Pop);
+        watch(in_);
     }
     void
     step(soff::sim::Cycle) override
@@ -613,8 +567,8 @@ runAllocGuard(soff::sim::SchedulerMode mode)
         TokenForwarder(Channel<WiToken> *in, Channel<WiToken> *out)
             : Component("tokenfwd"), in_(in), out_(out)
         {
-            watch(in_, PortDir::Pop);
-            watch(out_, PortDir::Push);
+            watch(in_);
+            watch(out_);
         }
         void
         step(Cycle) override
@@ -645,9 +599,9 @@ runAllocGuard(soff::sim::SchedulerMode mode)
     uint64_t warm_sum = sink->sum();
     if (mode == SchedulerMode::Compiled &&
         (simulator.compiledPlan() == nullptr ||
-         simulator.compiledPlan()->fusedChannels == 0)) {
-        std::fprintf(stderr, "alloc guard: compiled plan missing -- "
-                             "the specialized path was not exercised\n");
+         simulator.compiledPlan()->laneComp.empty())) {
+        std::fprintf(stderr, "alloc guard: no compiled plan with members "
+                             "-- the plan's sweep was not exercised\n");
         return 1;
     }
 
@@ -690,8 +644,8 @@ class StoreFlushClient : public soff::sim::Component
         : Component("storeclient"), req_(req), resp_(resp), cache_(cache),
           stores_(stores)
     {
-        watch(req_, soff::sim::PortDir::Push);
-        watch(resp_, soff::sim::PortDir::Pop);
+        watch(req_);
+        watch(resp_);
     }
     void
     step(soff::sim::Cycle) override
@@ -812,7 +766,7 @@ runCacheAllocGuard()
 int
 main(int argc, char **argv)
 {
-    // The generic event-driven loop and the compiled specialized loop
+    // The generic event-driven loop and the compiled plan's loop
     // must both run allocation-free in steady state (plans allocate
     // only at build time), and so must a warmed cache's
     // reset-and-flush cycle.

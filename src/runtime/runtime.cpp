@@ -853,7 +853,7 @@ Context::runLaunchCore(const detail::CorePlan &cp, uint64_t *duration_ns,
                           comp_side);
         // The compiled plan must not just produce the same results but
         // do the same amount of work: it sweeps exactly the
-        // event-driven wake set, only in levelized order.
+        // event-driven wake set, only in bucket order.
         if (evt_side.run.completed &&
             evt_side.sched.componentSteps !=
                 comp_side.sched.componentSteps) {

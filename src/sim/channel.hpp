@@ -56,20 +56,6 @@ class Component;
 class Simulator;
 
 /**
- * Which side of the handshake a watcher sits on. Declared by the
- * watch() call site (the component statically knows whether it pushes
- * or pops); consumed by the circuit-specialization pass to orient
- * producer->consumer edges when levelizing a pipeline segment. Unknown
- * is always safe: the edge is simply not used for ordering.
- */
-enum class PortDir : uint8_t
-{
-    Unknown,
-    Pop,  ///< The watcher consumes from this channel.
-    Push, ///< The watcher produces into this channel.
-};
-
-/**
  * Type-erased, vtable-free base; owns all per-cycle channel state.
  *
  * One-line layout: every field a push, pop, canPop/canPush, or commit
@@ -111,32 +97,18 @@ class alignas(64) ChannelBase
         return changed;
     }
 
-    /** Registers an endpoint component woken by every commit. */
+    /** Registers an endpoint component woken by every commit (once,
+     *  however many of its ports use this channel). */
     void
-    addWatcher(Component *c, PortDir dir = PortDir::Unknown)
+    addWatcher(Component *c)
     {
-        for (size_t i = 0; i < watchers_.size(); ++i) {
-            if (watchers_[i] != c)
-                continue;
-            // Re-registration with a conflicting direction (a component
-            // that both pushes and pops the same channel) degrades the
-            // edge to Unknown rather than picking a side.
-            if (watcherDirs_[i] != dir)
-                watcherDirs_[i] = PortDir::Unknown;
-            return;
+        for (Component *w : watchers_) {
+            if (w == c)
+                return;
         }
         watchers_.push_back(c);
-        watcherDirs_.push_back(dir);
     }
     const std::vector<Component *> &watchers() const { return watchers_; }
-    /** Declared handshake side per watcher (parallel to watchers()). */
-    const std::vector<PortDir> &watcherDirs() const { return watcherDirs_; }
-
-    /** Binds the simulator's dirty list (event-driven commits). */
-    void bindDirtyList(std::vector<ChannelBase *> *list)
-    {
-        dirtyList_ = list;
-    }
 
     /** Global creation index (stable across schedulers; fault keys). */
     uint32_t id() const { return index_; }
@@ -187,8 +159,8 @@ class alignas(64) ChannelBase
      * scheduler sweep (unit tests driving components by hand) they are
      * no-ops. Inline on purpose — they sit inside every push/pop on
      * the hot path — and they read the stepping component's counters
-     * and the sweep's cycle through thread-locals the sweeps set (per
-     * replica in the batched compiled sweep), so they touch no channel
+     * and the sweep's cycle through thread-locals every sweep's
+     * stepManyBody sets per replica, so they touch no channel
      * field at all; thread-local because CrossCheck runs several
      * simulators on concurrent threads. The trace sample is the only
      * part that needs the Component/Simulator definitions, so it stays
@@ -265,8 +237,8 @@ class alignas(64) ChannelBase
     /** Out-of-line slow path of notePerfMove (needs the Component and
      *  Simulator definitions): emits a componentActive trace sample
      *  for the stepping component when its window is open. Reached
-     *  only when a trace sink is installed — which forces the generic
-     *  sweeps, so tlsStepping is always set here. */
+     *  only when a trace sink is installed; tlsStepping is set here,
+     *  since it is set beside tlsStepPerf. */
     static void notePerfTrace();
 
     /** Out-of-line slow path of commit: the occupancy trace sample. */
@@ -278,7 +250,8 @@ class alignas(64) ChannelBase
     // access, a check UBSan reports as a null-pointer load.
 
     /** The component the scheduler is stepping on this thread right
-     *  now (trace attribution, forensics); null outside a sweep. */
+     *  now (trace attribution, fault-retry wakes); set per replica by
+     *  stepManyBody in every sweep, null outside a sweep. */
     static constinit thread_local Component *tlsStepping;
 
     /** The stepping component's perf counters (push/pop attribution);
@@ -295,7 +268,6 @@ class alignas(64) ChannelBase
     static constinit thread_local bool tlsTraceOn;
 
     std::vector<Component *> watchers_;
-    std::vector<PortDir> watcherDirs_; ///< Parallel to watchers_.
     Simulator *sim_ = nullptr;          ///< Owning simulator (faults, trace).
     const FaultPlan *faults_ = nullptr; ///< Null when injection is off.
 };

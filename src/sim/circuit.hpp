@@ -33,9 +33,8 @@ struct PlatformConfig
     /** Simulation kernel. Results are identical across modes; the
      *  runtime resolves CrossCheck by running one circuit per mode.
      *  The default Compiled mode is the event-driven scheduler plus
-     *  the circuit-specialization pass (sim/specialize.hpp); it
-     *  degrades to plain EventDriven whenever a specialization
-     *  precondition fails. */
+     *  the compiled step plan (sim/specialize.hpp), built for every
+     *  circuit with a channel-only component. */
     SchedulerMode scheduler = SchedulerMode::Compiled;
     /** Delay-only fault injection (sim/fault.hpp); off by default. */
     FaultConfig faults;

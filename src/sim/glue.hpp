@@ -28,13 +28,13 @@ class Router : public Component
            const LaunchContext *launch)
         : Component(name), in_(in), launch_(launch)
     {
-        watch(in_, PortDir::Pop);
+        watch(in_);
     }
 
     void
     addOutput(Channel<WiToken> *ch, const datapath::Projection *proj)
     {
-        watch(ch, PortDir::Push);
+        watch(ch);
         outs_.push_back({ch, proj});
     }
     /** Condition slot in the incoming layout (2-output routers). */
@@ -45,7 +45,7 @@ class Router : public Component
     void
     setOrderFifo(Channel<uint64_t> *fifo)
     {
-        watch(fifo, PortDir::Push);
+        watch(fifo);
         orderFifo_ = fifo;
     }
 
@@ -85,19 +85,19 @@ class SelectUnit : public Component
                const LaunchContext *launch)
         : Component(name), out_(out), launch_(launch)
     {
-        watch(out_, PortDir::Push);
+        watch(out_);
     }
 
     void
     addInput(Channel<WiToken> *ch, bool back_edge_priority = false)
     {
-        watch(ch, PortDir::Pop);
+        watch(ch);
         ins_.push_back({ch, back_edge_priority});
     }
     void
     setOrderFifo(Channel<uint64_t> *fifo)
     {
-        watch(fifo, PortDir::Pop);
+        watch(fifo);
         orderFifo_ = fifo;
     }
 

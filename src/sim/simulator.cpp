@@ -29,7 +29,7 @@ void
 ChannelBase::notePerfTrace()
 {
     // Slow path of notePerfMove: only reached with a trace sink
-    // installed, which forces the generic sweeps — they set
+    // installed. Every sweep steps through stepManyBody, which sets
     // tlsStepping alongside tlsStepPerf, so the stepping component is
     // always identified here.
     Component *c = tlsStepping;
@@ -169,10 +169,11 @@ Simulator::scheduleIndexAt(uint32_t index, Cycle cycle)
 void
 Simulator::faultRetryAt(Cycle clear)
 {
-    if (!sweeping_)
-        return; // Reference mode steps everything every cycle anyway.
-    // The querier is the component the sweep is on right now.
-    scheduleIndexAt(currentList_[sweepPos_], clear);
+    // Reference mode steps everything every cycle anyway. Otherwise
+    // the querier is the component either sweep is stepping right now.
+    const Component *querier = ChannelBase::tlsStepping;
+    if (scheduling_ && querier != nullptr)
+        scheduleIndexAt(querier->index_, clear);
 }
 
 void
@@ -300,10 +301,8 @@ Simulator::runReference(const bool *done, Cycle max_cycles,
         }
         activity_ = false;
         const size_t n = components_.size();
-        for (size_t i = 0; i < n; ++i) {
-            ChannelBase::tlsStepping = components_[i];
+        for (size_t i = 0; i < n; ++i)
             stepMany_[i](&components_[i], 1, now_);
-        }
         ChannelBase::tlsStepping = nullptr;
         ChannelBase::tlsStepPerf = nullptr;
         stats_.componentSteps += n;
@@ -360,15 +359,10 @@ Simulator::finalize()
             watcherIndices_.push_back(w->index_);
         ch->dirty_ = false;
     }
+    watcherPos_.assign(watcherIndices_.size(), CompiledPlan::kNoPos);
     dirtyChannels_.clear();
     seedWakes();
-    // Compiled mode: lower the circuit into a specialized step plan.
-    // Fault injection needs the generic sweep cursor for retry wakes,
-    // and tracing attributes activity through the generic sweep's
-    // tlsStepping, so either forces a full fallback to the plain
-    // event-driven loop (plan_ stays null and Compiled == EventDriven).
-    if (mode_ == SchedulerMode::Compiled && faultPlan_ == nullptr &&
-        traceSink_ == nullptr)
+    if (mode_ == SchedulerMode::Compiled)
         buildCompiledPlan();
 }
 
@@ -417,18 +411,14 @@ Simulator::runEventDriven(const bool *done, Cycle max_cycles)
             }
             now_ = next; // jump the clock over the idle gap
         }
-        // Compiled mode: segment-member wakes are swept in levelized
-        // order, everything else goes through the generic wake
-        // machinery, and fused-channel commits fold commit + watcher
-        // scheduling into one pass.
+        // Compiled mode: plan members step in their buckets, everything
+        // else goes through the generic wake list.
         scheduling_ = true;
         gatherWakes();
         if (plan_ != nullptr)
-            sweepActiveSegments();
+            sweepPlan();
         stepWakeList();
         commitDirtyChannels();
-        if (plan_ != nullptr)
-            commitSegmentChannels();
         scheduling_ = false;
         ++stats_.cyclesActive;
         ++now_;
@@ -446,18 +436,17 @@ Simulator::gatherWakes()
     // Under a compiled plan, wakes addressed to its members are
     // rerouted into the plan's buckets instead: the member sweep then
     // steps exactly the set the generic scheduler would have stepped,
-    // just in levelized order, and a component still steps at most
-    // once per cycle — the member flag is a set, like the wake-list
-    // flag it replaces.
-    CompiledPlan *plan = plan_.get();
+    // just in bucket order, and a component still steps at most once
+    // per cycle — the member flag is a set, like the wake-list flag it
+    // replaces.
     currentList_.swap(nextList_);
     size_t out = 0;
     for (uint32_t index : currentList_) {
         uint8_t &flags = schedFlags_[index];
-        const uint32_t pos = memberPos(plan, index);
-        if (pos != CompiledPlan::kNoSegment) {
+        const uint32_t pos = memberPos_[index];
+        if (pos != CompiledPlan::kNoPos) {
             flags &= static_cast<uint8_t>(~kInNextList);
-            plan->wake(pos);
+            plan_->wake(pos);
             continue;
         }
         flags = static_cast<uint8_t>((flags & ~kInNextList) |
@@ -471,9 +460,9 @@ Simulator::gatherWakes()
         if (pendingWake_[e.index] != e.cycle)
             continue; // stale
         pendingWake_[e.index] = kNoWake;
-        const uint32_t pos = memberPos(plan, e.index);
-        if (pos != CompiledPlan::kNoSegment) {
-            plan->wake(pos);
+        const uint32_t pos = memberPos_[e.index];
+        if (pos != CompiledPlan::kNoPos) {
+            plan_->wake(pos);
             continue;
         }
         uint8_t &flags = schedFlags_[e.index];
@@ -499,7 +488,6 @@ Simulator::stepWakeList()
         uint32_t index = currentList_[sweepPos_];
         schedFlags_[index] &= static_cast<uint8_t>(~kInWakeList);
         ++stats_.componentSteps;
-        ChannelBase::tlsStepping = components_[index];
         stepMany_[index](&components_[index], 1, now_);
     }
     ChannelBase::tlsStepping = nullptr;
@@ -515,28 +503,25 @@ Simulator::commitDirtyChannels()
     // commit touches only its own channel (a trace sink keeps one
     // sample vector per channel, and a channel commits at most once a
     // cycle), and the wakes it raises are sets — the next list is
-    // sorted at gather, and plan buckets are swept in id order with an
-    // unobservable order inside a bucket. A commit never stages, so
-    // the list cannot grow while it is walked.
-    // Under a compiled plan, boundary-channel commits are the main
-    // wake source for its members in memory-heavy circuits; those
-    // wakes go straight into the plan's buckets instead of bouncing
-    // through scheduleIndexAt, the next list, and the gather-time
-    // reroute. Within-bucket order is unobservable (same level, no
-    // edges), so arriving in commit order instead of gather order
-    // cannot change results.
-    CompiledPlan *plan = plan_.get();
+    // sorted at gather, and no member can observe another's step
+    // within a cycle, so the plan's bucket and slot order is free. A
+    // commit never stages, so the list cannot grow while it is walked.
+    // This is the only commit walker: under a compiled plan, a
+    // watcher's plan position (read from a span parallel to its index,
+    // filled at plan build) sends the wake straight into its bucket
+    // instead of bouncing through scheduleIndexAt, the next list, and
+    // the gather-time reroute.
     const uint32_t *watchers = watcherIndices_.data();
+    const uint32_t *positions = watcherPos_.data();
     for (ChannelBase *ch : dirtyChannels_) {
         if (ch->commit())
             ++stats_.channelCommits;
-        const uint32_t *w = watchers + ch->watchOff_;
-        for (uint32_t k = 0; k < ch->watchCount_; ++k) {
-            const uint32_t pos = memberPos(plan, w[k]);
-            if (pos != CompiledPlan::kNoSegment)
-                plan->wake(pos);
+        const uint32_t end = ch->watchOff_ + ch->watchCount_;
+        for (uint32_t k = ch->watchOff_; k < end; ++k) {
+            if (positions[k] != CompiledPlan::kNoPos)
+                plan_->wake(positions[k]);
             else
-                scheduleIndexAt(w[k], now_ + 1);
+                scheduleIndexAt(watchers[k], now_ + 1);
         }
     }
     dirtyChannels_.clear();

@@ -24,10 +24,9 @@
  *    in components is either guarded by channel/timer conditions or
  *    derived from the cycle number.
  *
- *  - Compiled: the event-driven kernel plus a per-circuit specialized
- *    step plan (sim/specialize.hpp) that sweeps the same wake set in
- *    levelized, bucketed order and fuses internal channel commits
- *    with their watcher wakes.
+ *  - Compiled: the event-driven kernel plus a per-circuit step plan
+ *    (sim/specialize.hpp) that steps the same wake set's channel-only
+ *    members in per-type buckets, one batched call per bucket.
  *
  * All three run on the calling thread. The event-driven modes share
  * one current/next wake-list pair and one timer heap, and one
@@ -94,7 +93,7 @@ enum class SchedulerMode
 {
     Reference,   ///< Synchronous: step everything, commit everything.
     EventDriven, ///< Wake lists + dirty-channel commits + clock jumps.
-    Compiled,    ///< Event-driven + per-circuit specialized step plan.
+    Compiled,    ///< Event-driven + per-circuit compiled step plan.
     CrossCheck,  ///< Run all modes, assert identical (runtime level).
 };
 
@@ -180,18 +179,6 @@ class Component
         if (ch != nullptr)
             ch->addWatcher(this);
     }
-    /**
-     * Same, with the handshake side declared (PortDir). Components that
-     * want to be eligible for the compiled-circuit specialization tag
-     * their ports so the levelizer can orient producer->consumer edges;
-     * the untagged overload keeps working everywhere else.
-     */
-    void
-    watch(ChannelBase *ch, PortDir dir)
-    {
-        if (ch != nullptr)
-            ch->addWatcher(this, dir);
-    }
 
     /** Schedules a timer wake for this component at `cycle`. */
     void wakeAt(Cycle cycle);
@@ -249,6 +236,7 @@ class Simulator
         components_.push_back(raw);
         pendingWake_.push_back(kNoWake);
         schedFlags_.push_back(0);
+        memberPos_.push_back(CompiledPlan::kNoPos);
         stepMany_.push_back(&Simulator::stepManyBody<T>);
         return raw;
     }
@@ -272,7 +260,7 @@ class Simulator
         raw->sim_ = this;
         raw->faults_ = faultPlan_;
         raw->faulty_ = faultPlan_ != nullptr;
-        raw->bindDirtyList(&dirtyChannels_);
+        raw->dirtyList_ = &dirtyChannels_;
         channels_.push_back(raw);
         channelDtors_.push_back([](ChannelBase *ch) {
             static_cast<Channel<T> *>(ch)->~Channel<T>();
@@ -354,12 +342,12 @@ class Simulator
     TraceSink *traceSink() const { return traceSink_; }
 
     /**
-     * The specialized execution plan SchedulerMode::Compiled built for
-     * this circuit at its first run, or null — before the first run,
-     * under every other mode, when a fault plan or trace sink forces
-     * the generic-sweep fallback, or when the circuit offered nothing
-     * to specialize. Exposed for tests and benchmarks; the plan is
-     * owned by the simulator and immutable between runs.
+     * The step plan SchedulerMode::Compiled built for this circuit at
+     * its first run, or null — before the first run, under every other
+     * mode, or when the circuit has no member-kind component. Fault
+     * plans and trace sinks do not matter. Exposed for tests and
+     * benchmarks; the plan is owned by the simulator and its structure
+     * is immutable between runs.
      */
     const CompiledPlan *compiledPlan() const { return plan_.get(); }
 
@@ -384,9 +372,10 @@ class Simulator
     void scheduleAt(Component *c, Cycle cycle);
     /**
      * Called by a channel whose fault gate blocked a query: arms a
-     * timer wake at the window's clear cycle for the component being
-     * swept right now (the querier). A no-op outside a step sweep: the
-     * reference scheduler steps everything anyway.
+     * timer wake at the window's clear cycle for the querier, the
+     * component being stepped right now (ChannelBase::tlsStepping) in
+     * either sweep. A no-op outside a scheduling phase: the reference
+     * scheduler steps everything anyway.
      */
     void faultRetryAt(Cycle clear);
     /**
@@ -418,26 +407,17 @@ class Simulator
     /** Index-based core of scheduleAt (hot: commit wake sweeps). */
     void scheduleIndexAt(uint32_t index, Cycle cycle);
 
-    /** Sweep position of component `index` in `plan`, or kNoSegment
-     *  when the generic wake list steps it (every component when no
-     *  plan was built). */
-    static uint32_t
-    memberPos(const CompiledPlan *plan, uint32_t index)
-    {
-        return plan != nullptr ? plan->compOrderPos[index]
-                               : CompiledPlan::kNoSegment;
-    }
-
     /**
      * The one step thunk of a component of concrete type T: steps every
      * component in `batch` through the directly inlinable qualified
-     * call, with the channel perf attribution redirected per component
-     * (one TLS store), then does its stall-span accounting. The compiled
-     * sweep passes all awake replicas of one (level, thunk) bucket; the
-     * loop body is branch-light and monomorphic, so the compiler sees
-     * T::step and T::holdsWork at their single call sites and can
-     * vectorize or software-pipeline across replicas. The generic
-     * sweeps pass a batch of one.
+     * call, with the stepping component and its perf counters published
+     * per replica (two TLS stores, for the channel hooks, trace
+     * attribution and fault retries), then does its stall-span
+     * accounting. The compiled sweep passes all awake replicas of one
+     * bucket; the loop body is branch-light and monomorphic, so the
+     * compiler sees T::step and T::holdsWork at their single call sites
+     * and can vectorize or software-pipeline across replicas. The
+     * generic sweeps pass a batch of one.
      *
      * Span-based stall accounting: both transitions of the predicate
      * (holdsWork && !moved) coincide with cycles the event-driven
@@ -453,6 +433,7 @@ class Simulator
         ChannelBase::tlsNow = now;
         for (uint32_t i = 0; i < n; ++i) {
             T *c = static_cast<T *>(batch[i]);
+            ChannelBase::tlsStepping = c;
             ChannelBase::tlsStepPerf = &c->perf_;
             c->T::step(now);
             PerfCounters &p = c->perf_;
@@ -478,13 +459,12 @@ class Simulator
     void stepWakeList();
     void commitDirtyChannels();
 
-    // Compiled-mode specialization (sim/specialize.cpp). The plan is
-    // built once at finalize(); gatherWakes and commitDirtyChannels
-    // route member wakes into it, the member sweep runs before the
-    // generic one, and fused channels commit after the generic ones.
+    // Compiled-mode step plan (sim/specialize.cpp). The plan is built
+    // once at finalize(); gatherWakes and commitDirtyChannels route
+    // member wakes into it, and the member sweep runs before the
+    // generic one.
     void buildCompiledPlan();
-    void sweepActiveSegments();
-    void commitSegmentChannels();
+    void sweepPlan();
     void resetCompiledState();
 
     SchedulerMode mode_;
@@ -504,9 +484,14 @@ class Simulator
     // in Component) so sweeps and wake delivery touch dense arrays.
     std::vector<Cycle> pendingWake_;   ///< Earliest heap-scheduled wake.
     std::vector<uint8_t> schedFlags_;  ///< kInWakeList | kInNextList.
+    /** Compiled-plan position (CompiledPlan::kNoPos: the generic wake
+     *  list steps it, as it steps every component without a plan). */
+    std::vector<uint32_t> memberPos_;
 
     /** Flat channel-watcher index spans (see ChannelBase::watchOff_). */
     std::vector<uint32_t> watcherIndices_;
+    /** memberPos_ of each watcherIndices_ entry (commit-time wakes). */
+    std::vector<uint32_t> watcherPos_;
 
     Cycle now_ = 0;
     bool activity_ = false;
@@ -515,12 +500,11 @@ class Simulator
     const std::atomic<bool> *stopFlag_ = nullptr;
     TraceSink *traceSink_ = nullptr;
 
-    /** Specialized step plan (Compiled mode only; null = generic). */
+    /** Compiled step plan (Compiled mode only; null = generic). */
     std::unique_ptr<CompiledPlan> plan_;
 
     /** Channels staged on this cycle, in first-touch order; every
-     *  simulator channel binds here at creation (a compiled plan
-     *  rebinds its fused channels to the plan's own list). */
+     *  simulator channel binds here at creation. */
     std::vector<ChannelBase *> dirtyChannels_;
 
     // Event-driven machinery (EventDriven and Compiled).

@@ -154,7 +154,7 @@ ComputeUnit::ComputeUnit(const std::string &name,
 void
 ComputeUnit::addInput(Channel<Flit> *ch, const ir::Value *value)
 {
-    watch(ch, PortDir::Pop);
+    watch(ch);
     ins_.push_back({ch, value});
 }
 

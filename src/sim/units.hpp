@@ -48,14 +48,14 @@ class SourceUnit : public Component
     SourceUnit(const std::string &name, Channel<WiToken> *in)
         : Component(name), in_(in)
     {
-        watch(in_, PortDir::Pop);
+        watch(in_);
     }
 
     /** live_index: slot in the input layout; -1 for trigger edges. */
     void
     addOutput(Channel<Flit> *ch, int live_index)
     {
-        watch(ch, PortDir::Push);
+        watch(ch);
         outs_.push_back({ch, live_index});
     }
 
@@ -83,14 +83,14 @@ class SinkUnit : public Component
              size_t layout_size)
         : Component(name), out_(out), layoutSize_(layout_size)
     {
-        watch(out_, PortDir::Push);
+        watch(out_);
     }
 
     /** sink_index: slot in the sink layout; -1 for ordering edges. */
     void
     addInput(Channel<Flit> *ch, int sink_index)
     {
-        watch(ch, PortDir::Pop);
+        watch(ch);
         ins_.push_back({ch, sink_index});
     }
 
@@ -130,7 +130,7 @@ class ComputeUnit : public Component
     void
     addOutput(Channel<Flit> *ch)
     {
-        watch(ch, PortDir::Push);
+        watch(ch);
         outs_.push_back(ch);
     }
 

@@ -161,10 +161,10 @@ INSTANTIATE_TEST_SUITE_P(
 // --- Compiled mode over the full suite, with and without faults --------
 
 /** Every runnable application under SchedulerMode::Compiled × fault
- *  seeds. Seed 0 disables injection (the pure specialized step loop);
- *  nonzero seeds install a fault plan, which must force the compiled
- *  plan back to the generic event-driven sweep (the fault-retry path
- *  needs the generic sweep cursor) while still verifying. */
+ *  seeds. Seed 0 disables injection; nonzero seeds install a fault
+ *  plan, whose stall windows then gate channel queries inside the
+ *  compiled plan's bucket sweep too (a blocked query arms the retry
+ *  wake of the stepping member), and every app must still verify. */
 class CompiledModeRun
     : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>>
 {};
