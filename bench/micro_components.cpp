@@ -235,8 +235,8 @@ class Forwarder : public soff::sim::Component
               soff::sim::Channel<uint64_t> *out)
         : Component("fwd"), in_(in), out_(out)
     {
-        watch(in_);
-        watch(out_);
+        watchIn(in_);
+        watchOut(out_);
     }
     void
     step(soff::sim::Cycle) override
@@ -262,7 +262,7 @@ class ChainSource : public soff::sim::Component
     ChainSource(soff::sim::Channel<uint64_t> *out, uint64_t n)
         : Component("chainsrc"), out_(out), n_(n)
     {
-        watch(out_);
+        watchOut(out_);
     }
     void
     step(soff::sim::Cycle) override
@@ -290,7 +290,7 @@ class ChainSink : public soff::sim::Component
     ChainSink(soff::sim::Channel<uint64_t> *in, uint64_t n)
         : Component("chainsink"), in_(in), n_(n)
     {
-        watch(in_);
+        watchIn(in_);
     }
     void
     step(soff::sim::Cycle) override
@@ -360,8 +360,8 @@ void
 BM_WakePropagation(benchmark::State &state)
 {
     // Event-driven wake-list propagation through a pipeline chain:
-    // tokens ripple across `depth` components; each commit wakes only
-    // the two endpoints via the flat watcher spans.
+    // tokens ripple across `depth` components; each commit wakes at
+    // most its two endpoints, through the targets in its hot line.
     runChainBench(state, soff::sim::SchedulerMode::EventDriven);
 }
 BENCHMARK(BM_WakePropagation)->Arg(16)->Arg(128);
@@ -472,7 +472,7 @@ class TokenSource : public soff::sim::Component
     TokenSource(soff::sim::Channel<soff::sim::WiToken> *out, uint64_t n)
         : Component("tokensrc"), out_(out), n_(n)
     {
-        watch(out_);
+        watchOut(out_);
     }
     void
     step(soff::sim::Cycle) override
@@ -508,7 +508,7 @@ class TokenSink : public soff::sim::Component
     TokenSink(soff::sim::Channel<soff::sim::WiToken> *in, uint64_t n)
         : Component("tokensink"), in_(in), n_(n)
     {
-        watch(in_);
+        watchIn(in_);
     }
     void
     step(soff::sim::Cycle) override
@@ -567,8 +567,8 @@ runAllocGuard(soff::sim::SchedulerMode mode)
         TokenForwarder(Channel<WiToken> *in, Channel<WiToken> *out)
             : Component("tokenfwd"), in_(in), out_(out)
         {
-            watch(in_);
-            watch(out_);
+            watchIn(in_);
+            watchOut(out_);
         }
         void
         step(Cycle) override
@@ -644,8 +644,8 @@ class StoreFlushClient : public soff::sim::Component
         : Component("storeclient"), req_(req), resp_(resp), cache_(cache),
           stores_(stores)
     {
-        watch(req_);
-        watch(resp_);
+        watchOut(req_);
+        watchIn(resp_);
     }
     void
     step(soff::sim::Cycle) override

@@ -97,6 +97,9 @@ class BenchContext
     {
         return program_->compiled();
     }
+    /** The program the last build() made (its template pool holds the
+     *  circuits its launches ran). */
+    const rt::Program &program() const { return *program_; }
     rt::Context &context() { return ctx_; }
 
   private:

@@ -27,8 +27,8 @@ class RRArbiter : public sim::Component
               sim::Channel<sim::MemResp> *down_resp)
         : Component(name), downReq_(down_req), downResp_(down_resp)
     {
-        watch(downReq_);
-        watch(downResp_);
+        watchOut(downReq_);
+        watchIn(downResp_);
     }
 
     /** Registers one upstream port; returns its index. */
@@ -36,8 +36,8 @@ class RRArbiter : public sim::Component
     addPort(sim::Channel<sim::MemReq> *req,
             sim::Channel<sim::MemResp> *resp)
     {
-        watch(req);
-        watch(resp);
+        watchIn(req);
+        watchOut(resp);
         ports_.push_back({req, resp});
         return ports_.size() - 1;
     }

@@ -20,8 +20,8 @@ Cache::Cache(const std::string &name, GlobalMemory &memory,
       valid_(static_cast<size_t>(numLines_)),
       dirty_(static_cast<size_t>(numLines_) * maskWords_)
 {
-    watch(in_);
-    watch(out_);
+    watchIn(in_);
+    watchOut(out_);
 }
 
 bool

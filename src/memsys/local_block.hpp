@@ -46,8 +46,8 @@ class LocalMemoryBlock : public sim::Component
     addPort(sim::Channel<sim::MemReq> *req,
             sim::Channel<sim::MemResp> *resp)
     {
-        watch(req);
-        watch(resp);
+        watchIn(req);
+        watchOut(resp);
         ports_.push_back({req, resp, {}});
         return ports_.size() - 1;
     }

@@ -595,6 +595,18 @@ Program::circuitCacheSize() const
     return parked;
 }
 
+void
+Program::forEachParkedCircuit(
+    const std::function<void(const sim::KernelCircuit &)> &fn) const
+{
+    std::lock_guard<std::mutex> lock(poolMutex_);
+    for (const PoolKey &key : circuitPool_) {
+        for (const std::unique_ptr<sim::KernelCircuit> &circuit :
+             key.parked)
+            fn(*circuit);
+    }
+}
+
 TemplatePoolStats
 Program::templatePoolStats() const
 {

@@ -405,6 +405,12 @@ class Program
 
     /** Parked circuit templates (tests observe pool behavior). */
     size_t circuitCacheSize() const;
+    /** Calls `fn` on every parked template, each holding the final
+     *  state of the last launch it ran (tests audit the circuits). The
+     *  pool lock is held throughout, so no launch can check a template
+     *  out while `fn` reads it. */
+    void forEachParkedCircuit(
+        const std::function<void(const sim::KernelCircuit &)> &fn) const;
     /** Cross-launch template-pool counters. */
     TemplatePoolStats templatePoolStats() const;
 

@@ -32,11 +32,13 @@
  *  - registers itself on the simulator's dirty list at the first
  *    staged push or pop of a cycle, so commit cost scales with the
  *    cycle's traffic rather than with circuit size, and
- *  - records its endpoint components (watchers) so a commit can wake
- *    exactly the producer and consumer for the next cycle. The wake
- *    sweep itself uses a flat index-span view (watchOff/watchCount
- *    into one simulator-wide index array) built by
- *    Simulator::finalize(); the pointer list survives for forensics.
+ *  - records its two declared endpoints, the producer
+ *    (Component::watchOut) and the consumer (Component::watchIn), and
+ *    carries their wake targets in its hot line (written by
+ *    Simulator::finalize()), so a commit can wake the endpoint whose
+ *    view of the channel changed without leaving the line (the
+ *    level-triggered rule in simulator.hpp). The endpoint pointers
+ *    stay in the cold part for forensics and stats.
  */
 #pragma once
 
@@ -97,18 +99,10 @@ class alignas(64) ChannelBase
         return changed;
     }
 
-    /** Registers an endpoint component woken by every commit (once,
-     *  however many of its ports use this channel). */
-    void
-    addWatcher(Component *c)
-    {
-        for (Component *w : watchers_) {
-            if (w == c)
-                return;
-        }
-        watchers_.push_back(c);
-    }
-    const std::vector<Component *> &watchers() const { return watchers_; }
+    /** The declared producer (Component::watchOut), or null. */
+    Component *producer() const { return producer_; }
+    /** The declared consumer (Component::watchIn), or null. */
+    Component *consumer() const { return consumer_; }
 
     /** Global creation index (stable across schedulers; fault keys). */
     uint32_t id() const { return index_; }
@@ -216,9 +210,11 @@ class alignas(64) ChannelBase
     uint32_t staged_ = 0;
     uint32_t maxOcc_ = 0;  ///< Committed-occupancy high-water mark.
     uint32_t index_ = 0;   ///< Global creation index.
-    /** Flat watcher span in Simulator::watcherIndices_ (wake sweep). */
-    uint32_t watchOff_ = 0;
-    uint32_t watchCount_ = 0;
+    /** Commit-time wake targets of the producer and the consumer,
+     *  written by Simulator::finalize(): a compiled-plan position, or
+     *  kGenericWake | component index, or kNoEndpoint. */
+    uint32_t producerWake_ = kNoEndpoint;
+    uint32_t consumerWake_ = kNoEndpoint;
     bool popped_ = false;
     bool dirty_ = false;
     bool faulty_ = false;  ///< A fault plan is installed (faults_).
@@ -227,8 +223,25 @@ class alignas(64) ChannelBase
 
   private:
     friend class Simulator;
+    friend class Component;
     /** Test-only view of the layout (sim_unit_test). */
     friend struct ChannelLayoutProbe;
+
+    /** Wake-target tag: the low bits index the generic wake list. */
+    static constexpr uint32_t kGenericWake = uint32_t{1} << 31;
+    /** Wake target of an undeclared endpoint. */
+    static constexpr uint32_t kNoEndpoint = ~uint32_t{0};
+
+    /** Declares `c` in an endpoint role (`slot` is producer_ or
+     *  consumer_). A channel has one producer and one consumer: a
+     *  second component in either role asserts. */
+    static void
+    declare(Component *&slot, Component *c)
+    {
+        SOFF_ASSERT(slot == nullptr || slot == c,
+                    "second component declared in one channel role");
+        slot = c;
+    }
 
     /** Out-of-line slow path of faultGate (needs the Simulator
      *  definition to arm the querier's retry wake). */
@@ -267,7 +280,8 @@ class alignas(64) ChannelBase
      *  (set by the run loops; read by notePerfMove and commit). */
     static constinit thread_local bool tlsTraceOn;
 
-    std::vector<Component *> watchers_;
+    Component *producer_ = nullptr;     ///< Declared producer.
+    Component *consumer_ = nullptr;     ///< Declared consumer.
     Simulator *sim_ = nullptr;          ///< Owning simulator (faults, trace).
     const FaultPlan *faults_ = nullptr; ///< Null when injection is off.
 };

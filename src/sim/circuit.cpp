@@ -36,9 +36,9 @@ KernelCircuit::KernelCircuit(const datapath::KernelPlan &plan,
                                                num_instances);
     // Replicas must be layout-identical: instance i's components and
     // channels occupy the contiguous index range [i*K, (i+1)*K), which
-    // the data-oriented core relies on for replica batching and the
-    // flat watcher table. Any per-instance divergence in the build
-    // would silently break that batching, so it is asserted here.
+    // the data-oriented core relies on for replica batching. Any
+    // per-instance divergence in the build would silently break that
+    // batching, so it is asserted here.
     size_t comps_per_instance = 0;
     size_t chans_per_instance = 0;
     for (int i = 0; i < num_instances; ++i) {

@@ -92,6 +92,7 @@ class KernelCircuit
     /** Work-items retired so far (work-item counter value, §III-B). */
     uint64_t retired() const { return counter_->retired(); }
     Simulator &simulator() { return sim_; }
+    const Simulator &simulator() const { return sim_; }
 
     /**
      * Assembles the full architectural StatsReport (also attached to

@@ -17,7 +17,7 @@ Dispatcher::Dispatcher(const std::string &name,
       streams_(inputs_.size())
 {
     for (Channel<WiToken> *ch : inputs_)
-        watch(ch);
+        watchOut(ch);
 }
 
 void
@@ -82,7 +82,7 @@ WorkItemCounter::WorkItemCounter(
       datapathStats_(terminals_.size())
 {
     for (Channel<WiToken> *ch : terminals_)
-        watch(ch);
+        watchIn(ch);
 }
 
 void

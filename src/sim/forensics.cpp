@@ -105,12 +105,15 @@ BlockageProbe::record(const ChannelBase *ch,
     w.channel = strFormat("ch%u [%zu/%zu]", ch->id(), ch->occupancy(),
                           ch->capacityTokens());
     w.detail = std::move(detail);
-    std::string label = std::string(reasonVerb(r)) + " " + w.channel;
-    for (Component *peer : ch->watchers()) {
-        if (peer == current_)
-            continue;
+    // An empty channel waits on its producer, a full one on its
+    // consumer.
+    const Component *peer = r == DeadlockReport::Wait::Reason::PopEmpty
+                                ? ch->producer()
+                                : ch->consumer();
+    if (peer != nullptr && peer != current_) {
         w.blockers.push_back(peer->name());
-        edges_.push_back({current_, peer, label});
+        edges_.push_back({current_, peer,
+                          std::string(reasonVerb(r)) + " " + w.channel});
     }
     report_->waits.push_back(std::move(w));
 }

@@ -68,7 +68,8 @@ struct DeadlockReport
  * Collector passed to Component::describeBlockage. Components declare
  * the channels their step() is gated on; the probe records only the
  * conditions that are actually unsatisfied (empty for a pop, full for
- * a push) and derives the wait-for edges from channel watcher lists.
+ * a push) and draws each wait-for edge to the channel's declared peer:
+ * the producer of an empty channel, the consumer of a full one.
  */
 class BlockageProbe
 {

@@ -28,13 +28,13 @@ class Router : public Component
            const LaunchContext *launch)
         : Component(name), in_(in), launch_(launch)
     {
-        watch(in_);
+        watchIn(in_);
     }
 
     void
     addOutput(Channel<WiToken> *ch, const datapath::Projection *proj)
     {
-        watch(ch);
+        watchOut(ch);
         outs_.push_back({ch, proj});
     }
     /** Condition slot in the incoming layout (2-output routers). */
@@ -45,7 +45,7 @@ class Router : public Component
     void
     setOrderFifo(Channel<uint64_t> *fifo)
     {
-        watch(fifo);
+        watchOut(fifo);
         orderFifo_ = fifo;
     }
 
@@ -85,19 +85,19 @@ class SelectUnit : public Component
                const LaunchContext *launch)
         : Component(name), out_(out), launch_(launch)
     {
-        watch(out_);
+        watchOut(out_);
     }
 
     void
     addInput(Channel<WiToken> *ch, bool back_edge_priority = false)
     {
-        watch(ch);
+        watchIn(ch);
         ins_.push_back({ch, back_edge_priority});
     }
     void
     setOrderFifo(Channel<uint64_t> *fifo)
     {
-        watch(fifo);
+        watchIn(fifo);
         orderFifo_ = fifo;
     }
 
@@ -155,8 +155,8 @@ class LoopEntrance : public Component
         : Component(name), in_(in), out_(out), state_(std::move(state)),
           launch_(launch)
     {
-        watch(in_);
-        watch(out_);
+        watchIn(in_);
+        watchOut(out_);
         state_->entrance = this;
     }
 
@@ -191,8 +191,8 @@ class LoopExit : public Component
              Channel<WiToken> *out, std::shared_ptr<LoopGateState> state)
         : Component(name), in_(in), out_(out), state_(std::move(state))
     {
-        watch(in_);
-        watch(out_);
+        watchIn(in_);
+        watchOut(out_);
     }
 
     void step(Cycle now) override;

@@ -101,13 +101,6 @@ Component::wakeAt(Cycle cycle)
 }
 
 void
-Component::requestWake()
-{
-    if (sim_ != nullptr)
-        sim_->wakeComponent(this);
-}
-
-void
 Component::noteActivity()
 {
     if (sim_ != nullptr)
@@ -258,7 +251,7 @@ Simulator::resetForRerun()
     std::fill(pendingWake_.begin(), pendingWake_.end(), kNoWake);
     std::fill(schedFlags_.begin(), schedFlags_.end(), uint8_t{0});
     dirtyChannels_.clear();
-    // Dynamic state only: component structure (ports, watchers, wiring)
+    // Dynamic state only: component structure (ports, roles, wiring)
     // is immutable after finalize(), so a rerun starts from the same
     // circuit a cold build would produce.
     for (ChannelBase *ch : channels_)
@@ -341,29 +334,37 @@ Simulator::seedWakes()
     }
 }
 
+uint32_t
+Simulator::wakeTargetOf(const Component *c) const
+{
+    if (c == nullptr)
+        return ChannelBase::kNoEndpoint;
+    const uint32_t pos = memberPos_[c->index_];
+    if (pos != CompiledPlan::kNoPos)
+        return pos;
+    SOFF_ASSERT(c->index_ < ChannelBase::kGenericWake,
+                "component index overflows a channel wake target");
+    return ChannelBase::kGenericWake | c->index_;
+}
+
 void
 Simulator::finalize()
 {
     finalized_ = true;
-    // The watcher wake sweep the commit phase runs uses a flat index-
-    // span table built here (one simulator-wide index array, a
-    // [watchOff, watchOff+watchCount) slice per channel), replacing the
-    // per-channel pointer vectors in the hot path. The dirty list
+    // The plan first: an endpoint's wake target is its plan position
+    // when it has one. Each channel then carries both targets in its
+    // hot line, so a commit wakes without leaving it. The dirty list
     // starts empty: marks left by channels driven by hand before the
     // first run are not carried into it.
-    watcherIndices_.clear();
-    for (ChannelBase *ch : channels_) {
-        ch->watchOff_ = static_cast<uint32_t>(watcherIndices_.size());
-        ch->watchCount_ = static_cast<uint32_t>(ch->watchers_.size());
-        for (Component *w : ch->watchers_)
-            watcherIndices_.push_back(w->index_);
-        ch->dirty_ = false;
-    }
-    watcherPos_.assign(watcherIndices_.size(), CompiledPlan::kNoPos);
-    dirtyChannels_.clear();
-    seedWakes();
     if (mode_ == SchedulerMode::Compiled)
         buildCompiledPlan();
+    for (ChannelBase *ch : channels_) {
+        ch->producerWake_ = wakeTargetOf(ch->producer_);
+        ch->consumerWake_ = wakeTargetOf(ch->consumer_);
+        ch->dirty_ = false;
+    }
+    dirtyChannels_.clear();
+    seedWakes();
 }
 
 Simulator::RunResult
@@ -506,23 +507,27 @@ Simulator::commitDirtyChannels()
     // sorted at gather, and no member can observe another's step
     // within a cycle, so the plan's bucket and slot order is free. A
     // commit never stages, so the list cannot grow while it is walked.
-    // This is the only commit walker: under a compiled plan, a
-    // watcher's plan position (read from a span parallel to its index,
-    // filled at plan build) sends the wake straight into its bucket
-    // instead of bouncing through scheduleIndexAt, the next list, and
-    // the gather-time reroute.
-    const uint32_t *watchers = watcherIndices_.data();
-    const uint32_t *positions = watcherPos_.data();
+    //
+    // Wakes are level-triggered (simulator.hpp), decided from the
+    // staged state before commit() folds it: an endpoint that moved a
+    // token wakes, and otherwise only a producer whose full channel
+    // gained room or a consumer whose empty channel gained a token.
+    // Both targets sit in the channel's hot line: a plan position
+    // sends the wake straight into its bucket, a tagged index onto
+    // the next list.
     for (ChannelBase *ch : dirtyChannels_) {
+        const bool pushed = ch->staged_ != 0;
+        const bool popped = ch->popped_;
+        const bool wake_producer =
+            pushed || (popped && ch->committed_ + ch->staged_ == ch->cap_);
+        const bool wake_consumer =
+            popped || (pushed && ch->committed_ == 0);
         if (ch->commit())
             ++stats_.channelCommits;
-        const uint32_t end = ch->watchOff_ + ch->watchCount_;
-        for (uint32_t k = ch->watchOff_; k < end; ++k) {
-            if (positions[k] != CompiledPlan::kNoPos)
-                plan_->wake(positions[k]);
-            else
-                scheduleIndexAt(watchers[k], now_ + 1);
-        }
+        if (wake_producer)
+            wakeEndpoint(ch->producerWake_);
+        if (wake_consumer)
+            wakeEndpoint(ch->consumerWake_);
     }
     dirtyChannels_.clear();
 }

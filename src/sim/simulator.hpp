@@ -12,8 +12,7 @@
  *
  *  - EventDriven (quiescence-aware): a component is stepped only when
  *    it is on the current cycle's wake list. It gets there via channel
- *    activity (a committed push/pop wakes both endpoints for the next
- *    cycle), a self-scheduled timer (`wakeAt`, for DRAM latency and
+ *    activity, a self-scheduled timer (`wakeAt`, for DRAM latency and
  *    similar purely internal timed state), or a cross-component wake
  *    (`wakeOther`, for non-channel couplings such as lock tables and
  *    loop gates). Only channels touched this cycle commit (dirty
@@ -23,6 +22,22 @@
  *    requires that no *needed* wake is missed, and that per-step state
  *    in components is either guarded by channel/timer conditions or
  *    derived from the cycle number.
+ *
+ *    Channel wakes are level-triggered. Every channel has one declared
+ *    producer (`watchOut`) and one declared consumer (`watchIn`), and
+ *    a commit wakes an endpoint for the next cycle only when that
+ *    endpoint's view of the channel changed:
+ *     - the producer iff it pushed, or a pop freed room in a full
+ *       channel;
+ *     - the consumer iff it popped, or a push landed in an empty
+ *       channel.
+ *    A producer sees its output only through canPush (space, then the
+ *    fault gate), and a consumer sees its input only through its head,
+ *    canPop and `occupancy() > 0`; a pop on a channel that was not
+ *    full, or a push behind an existing head, changes none of those,
+ *    so the skipped step could only have repeated the previous one. A
+ *    fault-blocked query arms its own retry timer (channel.hpp). An
+ *    endpoint in both roles (a self-loop) steps once: wakes are sets.
  *
  *  - Compiled: the event-driven kernel plus a per-circuit step plan
  *    (sim/specialize.hpp) that steps the same wake set's channel-only
@@ -40,9 +55,9 @@
  * bucket — so a component's step and its stall-span accounting exist
  * once; channel commits are non-virtual (see channel.hpp).
  * Per-component scheduler bookkeeping (pending timer, wake-list flags)
- * lives in SoA arrays indexed by component index, and watcher wake-up
- * walks a flat index-span table instead of per-channel pointer
- * vectors. Components and channels themselves — including every token
+ * lives in SoA arrays indexed by component index, and a commit reads
+ * its endpoints' wake targets from the channel's own hot line.
+ * Components and channels themselves — including every token
  * ring — are placement-constructed into a per-circuit slab arena in
  * build order, so one datapath instance occupies one contiguous region
  * (replica batching: N instances share the structure and their state
@@ -145,14 +160,18 @@ class Component
      * A cycle where the component held work but moved no token counts
      * as stalled; held-work cycles with movement are busy.
      *
-     * Determinism contract: the answer may depend only on *committed*
-     * channel state (occupancy()) and the component's own internal
-     * state. In particular it must never call canPop()/canPush() —
-     * their fault gates arm retry wakes, which would change scheduling
-     * — and it must not read another component's members. Under those
-     * rules every transition of (holdsWork && !moved) coincides with a
-     * cycle the event-driven scheduler steps the component anyway, so
-     * span-based stall accounting is bit-identical across modes.
+     * Determinism contract: the answer may depend only on whether an
+     * *input* channel (one declared with watchIn) holds a committed
+     * token — `occupancy() > 0`, never a deeper count and never an
+     * output's occupancy — and on the component's own internal state.
+     * In particular it must never call canPop()/canPush() — their
+     * fault gates arm retry wakes, which would change scheduling — and
+     * it must not read another component's members. An input's
+     * `occupancy() > 0` changes only on empty→non-empty or on the
+     * component's own pop, and both wake it, so every transition of
+     * (holdsWork && !moved) coincides with a cycle the event-driven
+     * scheduler steps the component anyway, and span-based stall
+     * accounting is bit-identical across modes.
      */
     virtual bool holdsWork() const { return false; }
 
@@ -172,18 +191,23 @@ class Component
     uint32_t index() const { return index_; }
 
   protected:
-    /** Registers this component as an endpoint of `ch`. */
+    /** Declares this component the consumer of `ch` (it pops it). */
     void
-    watch(ChannelBase *ch)
+    watchIn(ChannelBase *ch)
     {
         if (ch != nullptr)
-            ch->addWatcher(this);
+            ChannelBase::declare(ch->consumer_, this);
+    }
+    /** Declares this component the producer of `ch` (it pushes it). */
+    void
+    watchOut(ChannelBase *ch)
+    {
+        if (ch != nullptr)
+            ChannelBase::declare(ch->producer_, this);
     }
 
     /** Schedules a timer wake for this component at `cycle`. */
     void wakeAt(Cycle cycle);
-    /** Requests a wake for this component as soon as legal. */
-    void requestWake();
     /** Wakes another component (non-channel coupling). */
     void wakeOther(Component *c);
     /** Reference-mode watchdog hint: busy despite quiet channels. */
@@ -332,6 +356,7 @@ class Simulator
     Cycle now() const { return now_; }
     size_t numComponents() const { return components_.size(); }
     const Component &component(size_t i) const { return *components_[i]; }
+    const ChannelBase &channelAt(size_t i) const { return *channels_[i]; }
     size_t numChannels() const { return channels_.size(); }
     SchedulerStats schedulerStats() const { return stats_; }
     /** Bytes the circuit arena has handed out (diagnostics). */
@@ -363,8 +388,9 @@ class Simulator
 
     /**
      * Builds the structured hang report: every component describes its
-     * blockage, the wait-for graph is assembled from channel watcher
-     * lists, and one wait cycle is extracted (sim/forensics.cpp).
+     * blockage, the wait-for graph is assembled from the channels'
+     * declared endpoints, and one wait cycle is extracted
+     * (sim/forensics.cpp).
      */
     std::shared_ptr<DeadlockReport> diagnose(HangKind kind) const;
 
@@ -406,6 +432,19 @@ class Simulator
 
     /** Index-based core of scheduleAt (hot: commit wake sweeps). */
     void scheduleIndexAt(uint32_t index, Cycle cycle);
+    /** Commit-time wake target of `c` (ChannelBase::producerWake_). */
+    uint32_t wakeTargetOf(const Component *c) const;
+    /** Wakes a channel endpoint for the next cycle: straight into its
+     *  plan bucket, or onto the next list. */
+    void
+    wakeEndpoint(uint32_t target)
+    {
+        if ((target & ChannelBase::kGenericWake) == 0)
+            plan_->wake(target);
+        else if (target != ChannelBase::kNoEndpoint)
+            scheduleIndexAt(target & ~ChannelBase::kGenericWake,
+                            now_ + 1);
+    }
 
     /**
      * The one step thunk of a component of concrete type T: steps every
@@ -421,9 +460,9 @@ class Simulator
      *
      * Span-based stall accounting: both transitions of the predicate
      * (holdsWork && !moved) coincide with cycles the event-driven
-     * schedulers step the component — holdsWork reads only committed
-     * channel state and the component's own members, both of which
-     * change only at commits that wake it or at its own steps — so the
+     * schedulers step the component — holdsWork reads only whether its
+     * inputs hold a committed token and its own members, which change
+     * only at commits that wake it or at its own steps — so the
      * accumulated spans are bit-identical to stepping every cycle.
      */
     template <typename T>
@@ -487,11 +526,6 @@ class Simulator
     /** Compiled-plan position (CompiledPlan::kNoPos: the generic wake
      *  list steps it, as it steps every component without a plan). */
     std::vector<uint32_t> memberPos_;
-
-    /** Flat channel-watcher index spans (see ChannelBase::watchOff_). */
-    std::vector<uint32_t> watcherIndices_;
-    /** memberPos_ of each watcherIndices_ entry (commit-time wakes). */
-    std::vector<uint32_t> watcherPos_;
 
     Cycle now_ = 0;
     bool activity_ = false;

@@ -104,11 +104,6 @@ Simulator::buildCompiledPlan()
     plan->bucketLen.assign(n_buckets, 0);
     plan->touched.reserve(n_buckets);
     plan->memberActive.assign(count, 0);
-
-    // Commit-time wakes read each watcher's position straight from a
-    // span parallel to the watcher index table.
-    for (size_t k = 0; k < watcherIndices_.size(); ++k)
-        watcherPos_[k] = memberPos_[watcherIndices_[k]];
     plan_ = std::move(plan);
 }
 

@@ -154,7 +154,7 @@ ComputeUnit::ComputeUnit(const std::string &name,
 void
 ComputeUnit::addInput(Channel<Flit> *ch, const ir::Value *value)
 {
-    watch(ch);
+    watchIn(ch);
     ins_.push_back({ch, value});
 }
 
@@ -260,7 +260,7 @@ MemUnit::MemUnit(const std::string &name, const ir::Instruction *inst,
 void
 MemUnit::addInput(Channel<Flit> *ch, const ir::Value *value)
 {
-    watch(ch);
+    watchIn(ch);
     ins_.push_back({ch, value});
 }
 
@@ -455,8 +455,8 @@ BarrierUnit::BarrierUnit(const std::string &name, Channel<WiToken> *in,
     : Component(name), in_(in), out_(out), launch_(launch),
       maxGroups_(static_cast<size_t>(max_waiting_groups))
 {
-    watch(in_);
-    watch(out_);
+    watchIn(in_);
+    watchOut(out_);
     // Preallocate the bucket pool (and each bucket's token storage) so
     // admission never allocates in the steady state.
     buckets_.resize(maxGroups_);

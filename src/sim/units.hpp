@@ -48,14 +48,14 @@ class SourceUnit : public Component
     SourceUnit(const std::string &name, Channel<WiToken> *in)
         : Component(name), in_(in)
     {
-        watch(in_);
+        watchIn(in_);
     }
 
     /** live_index: slot in the input layout; -1 for trigger edges. */
     void
     addOutput(Channel<Flit> *ch, int live_index)
     {
-        watch(ch);
+        watchOut(ch);
         outs_.push_back({ch, live_index});
     }
 
@@ -83,14 +83,14 @@ class SinkUnit : public Component
              size_t layout_size)
         : Component(name), out_(out), layoutSize_(layout_size)
     {
-        watch(out_);
+        watchOut(out_);
     }
 
     /** sink_index: slot in the sink layout; -1 for ordering edges. */
     void
     addInput(Channel<Flit> *ch, int sink_index)
     {
-        watch(ch);
+        watchIn(ch);
         ins_.push_back({ch, sink_index});
     }
 
@@ -130,7 +130,7 @@ class ComputeUnit : public Component
     void
     addOutput(Channel<Flit> *ch)
     {
-        watch(ch);
+        watchOut(ch);
         outs_.push_back(ch);
     }
 
@@ -208,7 +208,7 @@ class MemUnit : public Component
     void
     addOutput(Channel<Flit> *ch)
     {
-        watch(ch);
+        watchOut(ch);
         outs_.push_back(ch);
     }
     void
@@ -216,8 +216,8 @@ class MemUnit : public Component
     {
         req_ = req;
         resp_ = resp;
-        watch(req_);
-        watch(resp_);
+        watchOut(req_);
+        watchIn(resp_);
     }
     /** Atomics: the 16-lock table shared with the target cache/block. */
     void setLockTable(memsys::LockTable *locks) { locks_ = locks; }

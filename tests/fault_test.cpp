@@ -373,8 +373,8 @@ class HandshakeUnit : public sim::Component
                   sim::Channel<int> *out)
         : Component(name), in_(in), out_(out)
     {
-        watch(in);
-        watch(out);
+        watchIn(in);
+        watchOut(out);
     }
     void
     step(sim::Cycle) override

@@ -283,7 +283,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChannelEquivalence,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77,
                                            88));
 
-// --- Watcher wakes --------------------------------------------------------
+// --- Channel endpoint wakes ----------------------------------------------
 
 namespace chan_wake
 {
@@ -294,7 +294,7 @@ class Producer : public sim::Component
     Producer(sim::Channel<uint64_t> *out, uint64_t n)
         : Component("producer"), out_(out), n_(n)
     {
-        watch(out_);
+        watchOut(out_);
     }
     void
     step(sim::Cycle) override
@@ -316,7 +316,7 @@ class Consumer : public sim::Component
     Consumer(sim::Channel<uint64_t> *in, uint64_t n)
         : Component("consumer"), in_(in), n_(n)
     {
-        watch(in_);
+        watchIn(in_);
     }
     void
     step(sim::Cycle) override
@@ -344,10 +344,10 @@ class Consumer : public sim::Component
 
 TEST(ChannelWatcherWake, EventDrivenMatchesReference)
 {
-    // The flat watcher spans must wake exactly the endpoints a commit
-    // used to wake through the pointer list: a producer/consumer pair
-    // over one arena channel finishes in the same cycle with the same
-    // data under both schedulers.
+    // Commit wakes reach the declared endpoints through the wake
+    // targets in the channel's hot line: a producer/consumer pair over
+    // one arena channel finishes in the same cycle with the same data
+    // under both schedulers.
     constexpr uint64_t kTokens = 500;
     uint64_t cycles[2], sums[2];
     const sim::SchedulerMode modes[2] = {sim::SchedulerMode::Reference,
@@ -382,7 +382,7 @@ class ChainHead : public sim::Component
     ChainHead(sim::Channel<uint64_t> *out, uint64_t n)
         : Component("head"), out_(out), n_(n)
     {
-        watch(out_);
+        watchOut(out_);
     }
     void
     step(sim::Cycle) override
@@ -409,8 +409,8 @@ class ChainStage : public sim::Component
     ChainStage(sim::Channel<uint64_t> *in, sim::Channel<uint64_t> *out)
         : Component("stage"), in_(in), out_(out)
     {
-        watch(in_);
-        watch(out_);
+        watchIn(in_);
+        watchOut(out_);
     }
     void
     step(sim::Cycle) override
@@ -435,7 +435,7 @@ class ChainTail : public sim::Component
     ChainTail(sim::Channel<uint64_t> *in, uint64_t n)
         : Component("tail"), in_(in), n_(n)
     {
-        watch(in_);
+        watchIn(in_);
     }
     void
     step(sim::Cycle) override
@@ -479,9 +479,9 @@ class LoopMerge : public sim::Component
               sim::Channel<uint64_t> *out)
         : Component("merge"), entry_(entry), back_(back), out_(out)
     {
-        watch(entry_);
-        watch(back_);
-        watch(out_);
+        watchIn(entry_);
+        watchIn(back_);
+        watchOut(out_);
     }
     void
     step(sim::Cycle) override
@@ -518,9 +518,9 @@ class LoopSplit : public sim::Component
               sim::Channel<uint64_t> *exit)
         : Component("split"), in_(in), back_(back), exit_(exit)
     {
-        watch(in_);
-        watch(back_);
-        watch(exit_);
+        watchIn(in_);
+        watchOut(back_);
+        watchOut(exit_);
     }
     void
     step(sim::Cycle) override
@@ -544,9 +544,9 @@ class LoopSplit : public sim::Component
     sim::Channel<uint64_t> *exit_;
 };
 
-/** A randomized single-watcher-per-side chain. Components are added in
- *  a seed-shuffled order, so nothing can lean on build order matching
- *  dataflow order. */
+/** A randomized chain, one producer and one consumer per channel.
+ *  Components are added in a seed-shuffled order, so nothing can lean
+ *  on build order matching dataflow order. */
 struct Chain
 {
     std::vector<sim::Channel<uint64_t> *> channels;
@@ -776,10 +776,9 @@ TEST_P(CompiledSpecialization, FusedCommitMatchesTwoPhase)
 {
     // The compiled plan, whose member wakes the one commit walker
     // routes into buckets, must be observation-equivalent to the
-    // generic two-phase step/commit on randomized single-watcher
-    // chains, and on chains whose members form a cycle: same
-    // completion cycle, same data, and bit-identical per-channel
-    // token/occupancy counters.
+    // generic two-phase step/commit on randomized chains, and on
+    // chains whose members form a cycle: same completion cycle, same
+    // data, and bit-identical per-channel token/occupancy counters.
     constexpr uint64_t kTokens = 200;
     const sim::SchedulerMode modes[3] = {sim::SchedulerMode::Reference,
                                          sim::SchedulerMode::EventDriven,

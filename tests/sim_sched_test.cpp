@@ -1,18 +1,21 @@
 /** @file Scheduler-equivalence tests: the event-driven and compiled
  *  kernels must be bit- and cycle-identical to the synchronous
  *  reference on every benchmark application (cross-check mode, with
- *  compiled copies running beside it on other host threads), detect
- *  deadlocks at the exact quiescence cycle, and honor timer wakeups
- *  across clock jumps. */
+ *  compiled copies running beside it on other host threads), declare
+ *  one producer and one consumer per channel in every application's
+ *  circuits, detect deadlocks at the exact quiescence cycle, and honor
+ *  timer wakeups across clock jumps. */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <exception>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "benchsuite/suite.hpp"
 #include "runtime/runtime.hpp"
+#include "sim/circuit.hpp"
 #include "sim/simulator.hpp"
 #include "support/rng.hpp"
 
@@ -202,6 +205,71 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
+// --- Declared channel roles over the full suite -------------------------
+
+/** Every runnable application under the default scheduler. In every
+ *  circuit its launches ran, each channel must have a declared producer
+ *  and a declared consumer (a second one in either role asserts at
+ *  wiring), and the declarations must match the traffic: a component
+ *  pushed exactly the tokens its produced channels delivered, and
+ *  popped exactly the tokens its consumed channels delivered minus what
+ *  they still hold. Commit wakes go only to declared endpoints, so a
+ *  mis-declared role would otherwise show only as a missed wake in some
+ *  future circuit. The circuits are read from the program's template
+ *  pool, where each holds the final state of the last launch it ran. */
+class RoleAudit : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(RoleAudit, DeclaredRolesMatchTraffic)
+{
+    const benchsuite::App *app = benchsuite::findApp(GetParam());
+    ASSERT_NE(app, nullptr);
+    benchsuite::BenchContext ctx(benchsuite::Engine::SoffSim);
+    if (app->expectInsufficientResources) {
+        EXPECT_THROW(benchsuite::runApp(*app, ctx), RuntimeError);
+        return;
+    }
+    ASSERT_TRUE(benchsuite::runApp(*app, ctx)) << app->name;
+    size_t circuits = 0;
+    ctx.program().forEachParkedCircuit([&](const sim::KernelCircuit &kc) {
+        ++circuits;
+        const sim::Simulator &sim = kc.simulator();
+        const std::shared_ptr<sim::StatsReport> report =
+            kc.buildStatsReport();
+        std::vector<uint64_t> pushed(sim.numComponents(), 0);
+        std::vector<uint64_t> popped(sim.numComponents(), 0);
+        for (size_t i = 0; i < sim.numChannels(); ++i) {
+            const sim::ChannelBase &ch = sim.channelAt(i);
+            ASSERT_NE(ch.producer(), nullptr)
+                << "channel " << ch.id() << " has no declared producer";
+            ASSERT_NE(ch.consumer(), nullptr)
+                << "channel " << ch.id() << " has no declared consumer";
+            pushed[ch.producer()->index()] += ch.tokensDelivered();
+            popped[ch.consumer()->index()] +=
+                ch.tokensDelivered() - ch.occupancy();
+        }
+        for (size_t i = 0; i < sim.numComponents(); ++i) {
+            const sim::ComponentStats &cs = report->components[i];
+            EXPECT_EQ(cs.tokensOut, pushed[i]) << cs.name;
+            EXPECT_EQ(cs.tokensIn, popped[i]) << cs.name;
+        }
+    });
+    if (circuits == 0)
+        GTEST_SKIP() << "no launch was pool-eligible (a timing fault "
+                        "plan or a trace bypasses the template pool)";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllApps, RoleAudit, ::testing::ValuesIn(allAppNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        std::string name = info.param;
+        for (char &c : name) {
+            if (!isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        }
+        return name;
+    });
+
 // --- Randomized cross-mode equivalence on small kernels ----------------
 
 /** Runs one kernel launch under each scheduler from identical initial
@@ -282,7 +350,7 @@ class StallingProducer : public sim::Component
     explicit StallingProducer(sim::Channel<int> *out)
         : Component("producer"), out_(out)
     {
-        watch(out);
+        watchOut(out);
     }
     void
     step(sim::Cycle) override
@@ -302,7 +370,7 @@ class NonConsumer : public sim::Component
     explicit NonConsumer(sim::Channel<int> *in)
         : Component("blackhole"), in_(in)
     {
-        watch(in);
+        watchIn(in);
     }
     void step(sim::Cycle) override { (void)in_; }
 

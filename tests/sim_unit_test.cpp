@@ -3,6 +3,7 @@
  *  arithmetic, and barrier/glue components in isolation. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -45,8 +46,8 @@ struct ChannelLayoutProbe
                 at("staged_", b.staged_),
                 at("maxOcc_", b.maxOcc_),
                 at("index_", b.index_),
-                at("watchOff_", b.watchOff_),
-                at("watchCount_", b.watchCount_),
+                at("producerWake_", b.producerWake_),
+                at("consumerWake_", b.consumerWake_),
                 at("popped_", b.popped_),
                 at("dirty_", b.dirty_),
                 at("faulty_", b.faulty_),
@@ -339,6 +340,272 @@ TEST(LoopGate, SwgrAdmitsOneGroupAtATime)
     }
     EXPECT_EQ(out->size(), 4u) << "everyone eventually passes";
     EXPECT_LE(max_inside, 2) << "only one work-group inside at a time";
+}
+
+// --- Level-triggered channel wakes -------------------------------------
+
+/** Pushes token k at its first step at or after pushAt[k], sleeping on
+ *  a timer until then; a full channel leaves it to the commit wake. */
+class ScriptedProducer : public Component
+{
+  public:
+    ScriptedProducer(Channel<int> *out, std::vector<Cycle> push_at)
+        : Component("producer"), out_(out), pushAt_(std::move(push_at))
+    {
+        watchOut(out_);
+    }
+    void
+    step(Cycle now) override
+    {
+        steps.push_back(now);
+        if (next_ < pushAt_.size() && pushAt_[next_] <= now &&
+            out_->canPush()) {
+            out_->push(static_cast<int>(next_));
+            ++next_;
+        }
+        if (next_ < pushAt_.size() && pushAt_[next_] > now)
+            wakeAt(pushAt_[next_]);
+    }
+    ComponentKind kind() const override { return ComponentKind::Source; }
+    bool holdsWork() const override { return next_ < pushAt_.size(); }
+
+    std::vector<Cycle> steps; ///< Every cycle it was stepped.
+
+  private:
+    Channel<int> *out_;
+    std::vector<Cycle> pushAt_;
+    size_t next_ = 0;
+};
+
+/** Pops token k at its first step at or after popAt[k]; an empty
+ *  channel leaves it to the commit wake. */
+class ScriptedConsumer : public Component
+{
+  public:
+    ScriptedConsumer(Channel<int> *in, std::vector<Cycle> pop_at)
+        : Component("consumer"), in_(in), popAt_(std::move(pop_at))
+    {
+        watchIn(in_);
+    }
+    void
+    step(Cycle now) override
+    {
+        steps.push_back(now);
+        if (next_ < popAt_.size() && popAt_[next_] <= now &&
+            in_->canPop()) {
+            in_->pop();
+            ++next_;
+        }
+        if (next_ < popAt_.size() && popAt_[next_] > now)
+            wakeAt(popAt_[next_]);
+        done_ = next_ == popAt_.size();
+    }
+    ComponentKind kind() const override { return ComponentKind::Sink; }
+    bool holdsWork() const override { return in_->occupancy() > 0; }
+    const bool *doneFlag() const { return &done_; }
+
+    std::vector<Cycle> steps; ///< Every cycle it was stepped.
+
+  private:
+    Channel<int> *in_;
+    std::vector<Cycle> popAt_;
+    size_t next_ = 0;
+    bool done_ = false;
+};
+
+/** What one scheduler made of a scripted producer/consumer pair. */
+struct ScriptRun
+{
+    Cycle cycles = 0;
+    uint32_t channelId = 0;
+    std::vector<Cycle> producer;
+    std::vector<Cycle> consumer;
+};
+
+ScriptRun
+runScript(SchedulerMode mode, size_t capacity,
+          const std::vector<Cycle> &push_at,
+          const std::vector<Cycle> &pop_at,
+          const FaultPlan *faults = nullptr)
+{
+    Simulator sim(mode);
+    sim.setFaultPlan(faults);
+    auto *ch = sim.channel<int>(capacity);
+    auto *producer = sim.add<ScriptedProducer>(ch, push_at);
+    auto *consumer = sim.add<ScriptedConsumer>(ch, pop_at);
+    Simulator::RunResult result = sim.run(consumer->doneFlag(), 10000, 1000);
+    EXPECT_TRUE(result.completed) << schedulerModeName(mode);
+    if (mode == SchedulerMode::Compiled) {
+        EXPECT_NE(sim.compiledPlan(), nullptr) << "plan wakes untested";
+    }
+    EXPECT_EQ(ch->producer(), producer);
+    EXPECT_EQ(ch->consumer(), consumer);
+    return {result.cycles, ch->id(), producer->steps, consumer->steps};
+}
+
+/** Runs the script under every scheduler: cycles must match Reference,
+ *  and Compiled must step exactly the event-driven set. Returns the
+ *  event-driven run. */
+ScriptRun
+runScriptEverywhere(size_t capacity, const std::vector<Cycle> &push_at,
+                    const std::vector<Cycle> &pop_at,
+                    const FaultPlan *faults = nullptr)
+{
+    const ScriptRun ref = runScript(SchedulerMode::Reference, capacity,
+                                    push_at, pop_at, faults);
+    const ScriptRun evt = runScript(SchedulerMode::EventDriven, capacity,
+                                    push_at, pop_at, faults);
+    const ScriptRun cmp = runScript(SchedulerMode::Compiled, capacity,
+                                    push_at, pop_at, faults);
+    EXPECT_EQ(evt.cycles, ref.cycles);
+    EXPECT_EQ(cmp.cycles, ref.cycles);
+    EXPECT_EQ(cmp.producer, evt.producer);
+    EXPECT_EQ(cmp.consumer, evt.consumer);
+    return evt;
+}
+
+bool
+steppedAt(const std::vector<Cycle> &steps, Cycle cycle)
+{
+    return std::find(steps.begin(), steps.end(), cycle) != steps.end();
+}
+
+TEST(WakeRule, PushIntoEmptyWakesConsumerPushBehindHeadDoesNot)
+{
+    // Cycle 0 fills the empty channel; cycle 5 pushes behind that head
+    // while the consumer sleeps until its pop at cycle 10.
+    const ScriptRun run = runScriptEverywhere(4, {0, 5}, {10, 11});
+    EXPECT_TRUE(steppedAt(run.consumer, 1)) << "empty channel gained a token";
+    EXPECT_FALSE(steppedAt(run.consumer, 6))
+        << "a push behind the head changes nothing the consumer sees";
+    EXPECT_EQ(run.consumer, (std::vector<Cycle>{0, 1, 10, 11}));
+}
+
+TEST(WakeRule, PopFromNonFullChannelDoesNotWakeProducer)
+{
+    // The producer finishes at cycle 1 with two of four slots used;
+    // the pops at cycles 10 and 11 never make the channel less full
+    // than the producer already saw it.
+    const ScriptRun run = runScriptEverywhere(4, {0, 1}, {10, 11});
+    EXPECT_FALSE(steppedAt(run.producer, 11));
+    EXPECT_FALSE(steppedAt(run.producer, 12));
+    EXPECT_EQ(run.producer, (std::vector<Cycle>{0, 1, 2}));
+}
+
+TEST(WakeRule, PopFromFullChannelWakesProducer)
+{
+    // Two pushes fill the capacity-2 channel; the third waits, asleep
+    // with no timer, until the pop at cycle 10 frees a slot.
+    const ScriptRun run = runScriptEverywhere(2, {0, 1, 2}, {10, 11, 12});
+    EXPECT_TRUE(steppedAt(run.producer, 11)) << "a full channel gained room";
+    for (Cycle c = 3; c <= 10; ++c)
+        EXPECT_FALSE(steppedAt(run.producer, c)) << "cycle " << c;
+}
+
+TEST(WakeRule, SecondProducerOrConsumerAsserts)
+{
+    // A commit wakes one producer and one consumer; a second component
+    // in either role would never be woken, so wiring rejects it.
+    Simulator sim(SchedulerMode::EventDriven);
+    auto *ch = sim.channel<int>(2);
+    sim.add<ScriptedProducer>(ch, std::vector<Cycle>{0});
+    sim.add<ScriptedConsumer>(ch, std::vector<Cycle>{0});
+    EXPECT_DEATH(sim.add<ScriptedProducer>(ch, std::vector<Cycle>{0}),
+                 "second component declared");
+    EXPECT_DEATH(sim.add<ScriptedConsumer>(ch, std::vector<Cycle>{0}),
+                 "second component declared");
+}
+
+/** Producer and consumer of its own channel: passes a counter around
+ *  the loop until it reaches `n`. */
+class SelfLoop : public Component
+{
+  public:
+    SelfLoop(Channel<int> *ch, int n)
+        : Component("loop"), ch_(ch), n_(n)
+    {
+        watchOut(ch_);
+        watchIn(ch_);
+    }
+    void
+    step(Cycle now) override
+    {
+        steps.push_back(now);
+        if (!started_) {
+            ch_->push(0);
+            started_ = true;
+            return;
+        }
+        if (!ch_->canPop())
+            return;
+        const int v = ch_->pop();
+        if (v + 1 < n_)
+            ch_->push(v + 1);
+        else
+            done_ = true;
+    }
+    ComponentKind kind() const override { return ComponentKind::Compute; }
+    bool holdsWork() const override { return ch_->occupancy() > 0; }
+    const bool *doneFlag() const { return &done_; }
+
+    std::vector<Cycle> steps;
+
+  private:
+    Channel<int> *ch_;
+    int n_;
+    bool started_ = false;
+    bool done_ = false;
+};
+
+TEST(WakeRule, SelfLoopStepsOncePerCycle)
+{
+    constexpr int kRounds = 20;
+    Cycle ref_cycles = 0;
+    for (SchedulerMode mode :
+         {SchedulerMode::Reference, SchedulerMode::EventDriven,
+          SchedulerMode::Compiled}) {
+        Simulator sim(mode);
+        auto *ch = sim.channel<int>(2);
+        auto *loop = sim.add<SelfLoop>(ch, kRounds);
+        EXPECT_EQ(ch->producer(), loop);
+        EXPECT_EQ(ch->consumer(), loop);
+        Simulator::RunResult result = sim.run(loop->doneFlag(), 1000, 100);
+        ASSERT_TRUE(result.completed) << schedulerModeName(mode);
+        if (mode == SchedulerMode::Reference)
+            ref_cycles = result.cycles;
+        EXPECT_EQ(result.cycles, ref_cycles) << schedulerModeName(mode);
+        // One step per cycle: both roles wake it, but wakes are sets.
+        std::vector<Cycle> every_cycle(result.cycles);
+        for (Cycle c = 0; c < result.cycles; ++c)
+            every_cycle[c] = c;
+        EXPECT_EQ(loop->steps, every_cycle) << schedulerModeName(mode);
+        EXPECT_EQ(sim.schedulerStats().componentSteps, result.cycles)
+            << schedulerModeName(mode);
+    }
+}
+
+TEST(WakeRule, FaultBlockedPushStillRetries)
+{
+    // Every data channel opens a stall window at the start of each
+    // 64-cycle epoch, so the producer's first canPush is fault-blocked
+    // with space free. Nothing on the channel changes while it waits:
+    // only the retry timer its query armed can wake it.
+    FaultConfig config;
+    config.seed = 7;
+    config.stallProb = 1.0;
+    config.memStallProb = 0.0;
+    config.dramSpikeEvery = 0;
+    config.dramJitterMax = 0;
+    config.fifoSlackCut = 0;
+    const FaultPlan plan(config);
+    const ScriptRun run = runScriptEverywhere(2, {0}, {0}, &plan);
+    uint64_t clear = 0;
+    ASSERT_TRUE(plan.channelBlocked(run.channelId, FaultClass::Data, 0,
+                                    &clear));
+    ASSERT_GT(clear, 2u) << "window too short to tell a retry apart";
+    EXPECT_EQ(run.producer, (std::vector<Cycle>{0, clear, clear + 1}))
+        << "asleep until the window clears, then pushed";
+    EXPECT_EQ(run.cycles, clear + 2) << "popped the cycle after the push";
 }
 
 } // namespace
